@@ -75,12 +75,11 @@ void build_key(LivenessWorld& world, std::vector<std::uint64_t>& out) {
   out.clear();
   world.state_key(out);
   world.simulator().controlled_state_key(out);
-  Labels fps;
+  const auto labels = static_cast<std::ptrdiff_t>(out.size());
   for (const PendingEvent& ev : world.simulator().eligible_events()) {
-    if (ev.kind != PendingEvent::Kind::kMessage) fps.push_back(label_of(world, ev));
+    if (ev.kind != PendingEvent::Kind::kMessage) out.push_back(label_of(world, ev));
   }
-  std::sort(fps.begin(), fps.end());
-  out.insert(out.end(), fps.begin(), fps.end());
+  std::sort(out.begin() + labels, out.end());
 }
 
 struct KeyHash {
@@ -152,6 +151,17 @@ struct Budget {
     counter.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
+
+  /// `n` spend() calls at once when all of them would succeed (one shared
+  /// write instead of n); false, spending nothing, when any would fail.
+  [[nodiscard]] bool spend_all(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
+    if (nodes.load(std::memory_order_relaxed) + replays.load(std::memory_order_relaxed) + n >
+        max_nodes) {
+      return false;
+    }
+    counter.fetch_add(n, std::memory_order_relaxed);
+    return true;
+  }
 };
 
 /// Witness label path of a state: walk the BFS tree to the root.
@@ -181,12 +191,19 @@ std::unique_ptr<LivenessWorld> replay_ids(const LivenessWorldFactory& factory,
                                           bool* stopped) {
   auto world = factory();
   world->simulator().start();
-  for (std::uint64_t id : ids) {
-    if (!budget.spend(budget.replays)) {
+  // Pay for the whole path up front when it fits, else event by event so
+  // the budget trips at exactly the same event. Either way a path that
+  // diverges has paid for the events up to and including the failed one.
+  const bool prepaid = budget.spend_all(budget.replays, ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!prepaid && !budget.spend(budget.replays)) {
       if (stopped != nullptr) *stopped = true;
       return nullptr;
     }
-    if (!world->simulator().execute_event(id)) return nullptr;
+    if (!world->simulator().execute_event(ids[i])) {
+      if (prepaid) budget.replays.fetch_sub(ids.size() - i - 1, std::memory_order_relaxed);
+      return nullptr;
+    }
   }
   return world;
 }
@@ -229,6 +246,7 @@ Expansion expand(const LivenessWorldFactory& factory, const Options& opt,
   }
 
   ex.edges.reserve(labeled.size());
+  std::vector<std::uint64_t> key;  // built here, copied out at its exact size
   for (std::size_t i = 0; i < labeled.size(); ++i) {
     std::unique_ptr<LivenessWorld> w;
     if (i + 1 < labeled.size()) {
@@ -262,7 +280,8 @@ Expansion expand(const LivenessWorldFactory& factory, const Options& opt,
     edge.violation = w->check();
     if (edge.violation.empty()) {
       edge.hungry = w->hungry_mask();
-      build_key(*w, edge.key);
+      build_key(*w, key);
+      edge.key.assign(key.begin(), key.end());
     }
     ex.edges.push_back(std::move(edge));
   }

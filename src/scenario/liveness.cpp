@@ -1,7 +1,7 @@
 #include "scenario/liveness.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "graph/coloring.hpp"
@@ -19,26 +19,64 @@ using ekbd::sim::PendingEvent;
 
 namespace {
 
+/// State-key packing limits (DinnerLivenessWorld::state_key): overtake
+/// counters take 4 bits per (waiter, eater) pair in one word per waiter,
+/// neighbor slots 8 bits each in one word per process.
+constexpr std::size_t kMaxProcesses = 16;
+constexpr std::size_t kMaxDegree = 8;
+
 ekbd::graph::ConflictGraph build_graph(const LivenessConfig& cfg) {
   // Seeded but irrelevant for the certification set (clique/ring/grid are
   // deterministic); a fixed seed keeps factories replay-identical even
   // for the random family.
   ekbd::sim::Rng rng(1);
-  return ekbd::graph::by_name(cfg.topology, cfg.n, rng);
+  ekbd::graph::ConflictGraph g = ekbd::graph::by_name(cfg.topology, cfg.n, rng);
+  if (g.size() > kMaxProcesses) {
+    throw std::invalid_argument("liveness world: " + std::to_string(g.size()) +
+                                " processes, at most " + std::to_string(kMaxProcesses));
+  }
+  if (g.max_degree() > kMaxDegree) {
+    throw std::invalid_argument("liveness world: degree " + std::to_string(g.max_degree()) +
+                                ", at most " + std::to_string(kMaxDegree));
+  }
+  return g;
+}
+
+/// The pending choice with this event id; throws on an unknown id (fail
+/// loud).
+template <typename Choices>
+auto find_choice(Choices& pending, std::uint64_t id) {
+  const auto it = std::find_if(pending.begin(), pending.end(),
+                               [id](const auto& c) { return c.id == id; });
+  if (it == pending.end()) throw std::out_of_range("no pending scheduled choice with this id");
+  return it;
+}
+
+/// Semantic fingerprint of a choice: (role, process).
+template <typename Choice>
+std::uint64_t choice_fingerprint(const Choice& c) {
+  return (static_cast<std::uint64_t>(c.role) << 32) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.p));
 }
 
 }  // namespace
 
 // ------------------------------------------------------- dinner world --
 
+DinnerLivenessWorld::Universe::Universe(const LivenessConfig& config)
+    : cfg(config), graph(build_graph(config)), colors(ekbd::graph::greedy_coloring(graph)) {}
+
 DinnerLivenessWorld::DinnerLivenessWorld(const LivenessConfig& cfg)
-    : cfg_(cfg),
-      graph_(build_graph(cfg)),
-      colors_(ekbd::graph::greedy_coloring(graph_)),
-      sim_(1, ekbd::sim::make_fixed_delay(1), ExecMode::kControlled),
+    : DinnerLivenessWorld(std::make_shared<const Universe>(cfg)) {}
+
+DinnerLivenessWorld::DinnerLivenessWorld(std::shared_ptr<const Universe> universe)
+    : universe_(std::move(universe)),
+      cfg_(universe_->cfg),
+      graph_(universe_->graph),
+      sim_(1, nullptr, ExecMode::kControlled),
       perfect_(sim_) {
   const std::size_t n = graph_.size();
-  assert(n <= 16 && "liveness worlds must stay small (state key packing)");
+  const std::vector<int>& colors = universe_->colors;
   const ekbd::fd::FailureDetector& det =
       cfg_.mutation == LivenessMutation::kStuckDetector
           ? static_cast<const ekbd::fd::FailureDetector&>(never_)
@@ -50,15 +88,17 @@ DinnerLivenessWorld::DinnerLivenessWorld(const LivenessConfig& cfg)
 
   meals_done_.assign(n, 0);
   overtakes_.assign(n * n, 0);
+  choices_.reserve(n + 1);  // at most one per process, plus the crash
+  trace_.reserve(32);
   diners_.reserve(n);
   for (std::size_t p = 0; p < n; ++p) {
     const auto pid = static_cast<ProcessId>(p);
     std::vector<int> ncolors;
     ncolors.reserve(graph_.degree(pid));
     for (ProcessId q : graph_.neighbors(pid)) {
-      ncolors.push_back(colors_[static_cast<std::size_t>(q)]);
+      ncolors.push_back(colors[static_cast<std::size_t>(q)]);
     }
-    auto* d = sim_.make_actor<WaitFreeDiner>(graph_.neighbors(pid), colors_[p],
+    auto* d = sim_.make_actor<WaitFreeDiner>(graph_.neighbors(pid), colors[p],
                                              std::move(ncolors), det, dopt);
     d->set_event_callback(
         [this](ekbd::dining::Diner& dd, TraceEventKind kind) { on_trace(dd, kind); });
@@ -73,22 +113,27 @@ DinnerLivenessWorld::DinnerLivenessWorld(const LivenessConfig& cfg)
 
 void DinnerLivenessWorld::schedule_choice(Role role, ProcessId p) {
   const std::uint64_t id = sim_.next_event_id();
-  scheduled_roles_.emplace(id, std::make_pair(role, p));
-  sim_.schedule(sim_.now(), [this, id, role, p] {
-    scheduled_roles_.erase(id);
-    auto* d = diners_[static_cast<std::size_t>(p)];
-    switch (role) {
-      case Role::kFinish:
-        if (!sim_.crashed(p) && d->eating()) d->finish_eating();
-        break;
-      case Role::kRehungry:
-        if (!sim_.crashed(p) && d->thinking()) d->become_hungry();
-        break;
-      case Role::kCrash:
-        sim_.crash(p);
-        break;
-    }
-  });
+  choices_.push_back(Choice{id, role, p});
+  // Two words of capture: small enough for std::function's inline buffer.
+  sim_.schedule(sim_.now(), [this, id] { run_choice(id); });
+}
+
+void DinnerLivenessWorld::run_choice(std::uint64_t id) {
+  const auto it = find_choice(choices_, id);
+  const Choice c = *it;
+  choices_.erase(it);
+  auto* d = diners_[static_cast<std::size_t>(c.p)];
+  switch (c.role) {
+    case Role::kFinish:
+      if (!sim_.crashed(c.p) && d->eating()) d->finish_eating();
+      break;
+    case Role::kRehungry:
+      if (!sim_.crashed(c.p) && d->thinking()) d->become_hungry();
+      break;
+    case Role::kCrash:
+      sim_.crash(c.p);
+      break;
+  }
 }
 
 void DinnerLivenessWorld::on_trace(ekbd::dining::Diner& d, TraceEventKind kind) {
@@ -184,9 +229,8 @@ void DinnerLivenessWorld::state_key(std::vector<std::uint64_t>& out) const {
       s |= static_cast<std::uint64_t>(d->has_ack_from(q)) << 3;
       s |= static_cast<std::uint64_t>(d->has_deferred_ping_from(q)) << 4;
       s |= static_cast<std::uint64_t>(std::min(d->acks_granted_to(q), 7)) << 5;
-      slots |= s << shift;
+      slots |= s << shift;  // degree <= kMaxDegree: fits one word
       shift += 8;
-      assert(shift <= 64 && "degree too high for one packed word");
     }
     out.push_back(slots);
   }
@@ -217,9 +261,7 @@ std::uint64_t DinnerLivenessWorld::event_fingerprint(const PendingEvent& ev) con
     // module is hosted), so the owner identifies the timer.
     return static_cast<std::uint64_t>(static_cast<std::uint32_t>(ev.owner));
   }
-  const auto& [role, p] = scheduled_roles_.at(ev.id);  // throws on unknown: fail loud
-  return (static_cast<std::uint64_t>(role) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
+  return choice_fingerprint(*find_choice(choices_, ev.id));
 }
 
 std::vector<Time> DinnerLivenessWorld::crash_times() const {
@@ -231,17 +273,19 @@ std::vector<Time> DinnerLivenessWorld::crash_times() const {
 }
 
 ekbd::mc::LivenessWorldFactory make_dinner_liveness_factory(LivenessConfig cfg) {
-  return [cfg] { return std::make_unique<DinnerLivenessWorld>(cfg); };
+  auto universe = std::make_shared<const DinnerLivenessWorld::Universe>(cfg);
+  return [universe] { return std::make_unique<DinnerLivenessWorld>(universe); };
 }
 
 // ----------------------------------------------------- drinking world --
 
 DrinkingEdgeLivenessWorld::DrinkingEdgeLivenessWorld()
-    : sim_(1, ekbd::sim::make_fixed_delay(1), ExecMode::kControlled) {
+    : sim_(1, nullptr, ExecMode::kControlled) {
   hi_ = sim_.make_actor<DrinkingDiner>(std::vector<ProcessId>{1}, 1, std::vector<int>{0},
                                        never_);
   lo_ = sim_.make_actor<DrinkingDiner>(std::vector<ProcessId>{0}, 0, std::vector<int>{1},
                                        never_);
+  choices_.reserve(2);
   wire(hi_, 1);
   wire(lo_, 0);
   sim_.start();
@@ -262,28 +306,32 @@ void DrinkingEdgeLivenessWorld::wire(DrinkingDiner* d, ProcessId peer) {
 
 void DrinkingEdgeLivenessWorld::schedule_choice(Role role, ProcessId p) {
   const std::uint64_t id = sim_.next_event_id();
-  scheduled_roles_.emplace(id, std::make_pair(role, p));
-  sim_.schedule(sim_.now(), [this, id, role, p] {
-    scheduled_roles_.erase(id);
-    DrinkingDiner* d = p == 0 ? hi_ : lo_;
-    const ProcessId peer = p == 0 ? 1 : 0;
-    switch (role) {
-      case Role::kFinishDrink:
-        if (d->drinking()) d->finish_drinking();
+  choices_.push_back(Choice{id, role, p});
+  sim_.schedule(sim_.now(), [this, id] { run_choice(id); });
+}
+
+void DrinkingEdgeLivenessWorld::run_choice(std::uint64_t id) {
+  const auto it = find_choice(choices_, id);
+  const Choice c = *it;
+  choices_.erase(it);
+  DrinkingDiner* d = c.p == 0 ? hi_ : lo_;
+  const ProcessId peer = c.p == 0 ? 1 : 0;
+  switch (c.role) {
+    case Role::kFinishDrink:
+      if (d->drinking()) d->finish_drinking();
+      break;
+    case Role::kRethirst:
+      if (d->thirsty() || d->drinking()) break;
+      if (!d->thinking()) {
+        // The catalyst dining session is still draining; retry. The
+        // retry is a fresh choice with the same role, so the state key
+        // is unchanged and the retry loop dedups into a self-loop.
+        schedule_choice(Role::kRethirst, c.p);
         break;
-      case Role::kRethirst:
-        if (d->thirsty() || d->drinking()) break;
-        if (!d->thinking()) {
-          // The catalyst dining session is still draining; retry. The
-          // retry is a fresh choice with the same role, so the state key
-          // is unchanged and the retry loop dedups into a self-loop.
-          schedule_choice(Role::kRethirst, p);
-          break;
-        }
-        d->become_thirsty({peer});
-        break;
-    }
-  });
+      }
+      d->become_thirsty({peer});
+      break;
+  }
 }
 
 std::string DrinkingEdgeLivenessWorld::check() {
@@ -338,9 +386,7 @@ std::uint64_t DrinkingEdgeLivenessWorld::event_fingerprint(const PendingEvent& e
     // thirsty/hungry bits that determine which timers are armed.
     return static_cast<std::uint64_t>(static_cast<std::uint32_t>(ev.owner));
   }
-  const auto& [role, p] = scheduled_roles_.at(ev.id);
-  return (static_cast<std::uint64_t>(role) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
+  return choice_fingerprint(*find_choice(choices_, ev.id));
 }
 
 ekbd::mc::LivenessWorldFactory make_drinking_edge_liveness_factory() {

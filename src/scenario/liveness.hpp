@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,7 +97,22 @@ struct LivenessConfig {
 /// cross-checked against the post-hoc checkers.
 class DinnerLivenessWorld final : public ekbd::mc::LivenessWorld {
  public:
+  /// What every rebuild of one configuration shares: the config and the
+  /// conflict graph and coloring built from it. The checker rebuilds a
+  /// world per expanded edge, so the factory builds this once.
+  struct Universe {
+    /// Throws std::invalid_argument for an unknown topology, more than 16
+    /// processes or a degree above 8 — the limits of the state key's
+    /// packing (4 overtake bits per process pair, 8 bits per neighbor).
+    explicit Universe(const LivenessConfig& config);
+    LivenessConfig cfg;
+    ekbd::graph::ConflictGraph graph;
+    std::vector<int> colors;
+  };
+
+  /// Builds a private Universe (same validation).
   explicit DinnerLivenessWorld(const LivenessConfig& cfg);
+  explicit DinnerLivenessWorld(std::shared_ptr<const Universe> universe);
 
   // -- mc::World ---------------------------------------------------------
   ekbd::sim::Simulator& simulator() override { return sim_; }
@@ -127,26 +141,33 @@ class DinnerLivenessWorld final : public ekbd::mc::LivenessWorld {
   /// are not). Registered by reading Simulator::next_event_id() just
   /// before scheduling; erased by the closure itself when it fires.
   enum class Role : std::uint64_t { kFinish = 1, kRehungry = 2, kCrash = 3 };
+  struct Choice {
+    std::uint64_t id;
+    Role role;
+    ProcessId p;
+  };
 
   void schedule_choice(Role role, ProcessId p);
+  void run_choice(std::uint64_t id);
   void on_trace(ekbd::dining::Diner& d, ekbd::dining::TraceEventKind kind);
 
-  LivenessConfig cfg_;
-  ekbd::graph::ConflictGraph graph_;
-  std::vector<int> colors_;
+  std::shared_ptr<const Universe> universe_;
+  const LivenessConfig& cfg_;
+  const ekbd::graph::ConflictGraph& graph_;
   ekbd::sim::Simulator sim_;
   ekbd::fd::NeverSuspect never_;
   ekbd::fd::PerfectDetector perfect_;
   std::vector<ekbd::core::WaitFreeDiner*> diners_;
   ekbd::dining::Trace trace_;
-  std::map<std::uint64_t, std::pair<Role, ProcessId>> scheduled_roles_;
+  std::vector<Choice> choices_;  ///< pending scheduled choices; a handful
   std::vector<int> meals_done_;
   /// overtakes_[waiter * n + eater]: times `eater` started eating during
   /// `waiter`'s current hungry session (capped at overtake_bound + 1).
   std::vector<int> overtakes_;
 };
 
-/// Factory adaptor for check_liveness.
+/// Factory adaptor for check_liveness. Validates `cfg` and builds its
+/// Universe up front (throws std::invalid_argument like Universe).
 [[nodiscard]] ekbd::mc::LivenessWorldFactory make_dinner_liveness_factory(LivenessConfig cfg);
 
 /// A closed drinking universe on one edge: two drinking::DrinkingDiners
@@ -169,15 +190,21 @@ class DrinkingEdgeLivenessWorld final : public ekbd::mc::LivenessWorld {
 
  private:
   enum class Role : std::uint64_t { kFinishDrink = 1, kRethirst = 2 };
+  struct Choice {
+    std::uint64_t id;
+    Role role;
+    ProcessId p;
+  };
 
   void schedule_choice(Role role, ProcessId p);
+  void run_choice(std::uint64_t id);
   void wire(ekbd::drinking::DrinkingDiner* d, ProcessId peer);
 
   ekbd::sim::Simulator sim_;
   ekbd::fd::NeverSuspect never_;
   ekbd::drinking::DrinkingDiner* hi_ = nullptr;
   ekbd::drinking::DrinkingDiner* lo_ = nullptr;
-  std::map<std::uint64_t, std::pair<Role, ProcessId>> scheduled_roles_;
+  std::vector<Choice> choices_;
 };
 
 [[nodiscard]] ekbd::mc::LivenessWorldFactory make_drinking_edge_liveness_factory();

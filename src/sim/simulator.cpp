@@ -46,9 +46,11 @@ std::string PendingEvent::describe() const {
 
 Simulator::Simulator(std::uint64_t seed, std::unique_ptr<DelayModel> delays, ExecMode mode)
     : seed_(seed),
-      rng_(seed),
-      delays_(delays ? std::move(delays) : make_uniform_delay(1, 10)),
-      mode_(mode) {}
+      delays_(delays || mode == ExecMode::kControlled ? std::move(delays)
+                                                      : make_uniform_delay(1, 10)),
+      mode_(mode) {
+  if (mode_ == ExecMode::kTimed) rng_.emplace(seed_);
+}
 
 ProcessId Simulator::add_actor(std::unique_ptr<Actor> actor) {
   assert(!started_ && "register all actors before start()");
@@ -164,17 +166,78 @@ Simulator::ControlledEvent& Simulator::push_controlled(PendingEvent::Kind kind,
                                                        ProcessId owner,
                                                        std::uint64_t channel_rank) {
   const std::uint64_t id = next_event_seq_++;
-  ControlledEvent& ev = controlled_[id];
+  if (pending_index_.empty()) {
+    pending_index_.assign(kInitialIndex, kNoSlot);
+    pending_.reserve(kInitialSlots);
+    pending_free_.reserve(kInitialSlots);
+  }
+  // The index must span every pending id, oldest (the list head) to `id`.
+  std::size_t capacity = pending_index_.size();
+  while (pending_head_ != kNoSlot && id - pending_[pending_head_].info.id >= capacity) {
+    capacity *= 2;
+  }
+  if (capacity != pending_index_.size()) reindex_pending(capacity);
+
+  std::uint32_t slot = 0;
+  if (!pending_free_.empty()) {
+    slot = pending_free_.back();
+    pending_free_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(pending_.size());
+    pending_.emplace_back();
+  }
+  pending_index_[id & (pending_index_.size() - 1)] = slot;
+  ControlledEvent& ev = pending_[slot];
   ev.info.id = id;
   ev.info.kind = kind;
   ev.info.from = from;
   ev.info.to = to;
   ev.info.owner = owner;
   ev.info.channel_rank = channel_rank;
+  ev.prev = pending_tail_;
+  ev.next = kNoSlot;
+  ev.fifo_next = kNoSlot;
+  if (pending_tail_ != kNoSlot) {
+    pending_[pending_tail_].next = slot;
+  } else {
+    pending_head_ = slot;
+  }
+  pending_tail_ = slot;
+  ++pending_count_;
   if (kind == PendingEvent::Kind::kMessage) {
-    channel_fifo_[PendingEvent::channel_key(from, to)].push_back(id);
+    ControlledChannel& ch = channel(from, to);
+    if (ch.tail != kNoSlot) {
+      pending_[ch.tail].fifo_next = slot;
+    } else {
+      ch.head = slot;
+    }
+    ch.tail = slot;
+    ++ch.len;
+  } else if (kind == PendingEvent::Kind::kScheduled) {
+    ++pending_scheduled_;
   }
   return ev;
+}
+
+void Simulator::reindex_pending(std::size_t capacity) {
+  pending_index_.assign(capacity, kNoSlot);
+  for (std::uint32_t slot = pending_head_; slot != kNoSlot; slot = pending_[slot].next) {
+    pending_index_[pending_[slot].info.id & (capacity - 1)] = slot;
+  }
+}
+
+void Simulator::fit_controlled_tables() {
+  const std::size_t n = actors_.size();
+  std::vector<ControlledChannel> chans(n * n);
+  for (std::size_t f = 0; f < channel_stride_; ++f) {
+    for (std::size_t t = 0; t < channel_stride_; ++t) {
+      chans[f * n + t] = channels_[f * channel_stride_ + t];
+    }
+  }
+  channels_ = std::move(chans);
+  channel_stride_ = n;
+  timer_counts_.resize(n);
+  armed_timers_.reserve(n);  // typically one timer per process
 }
 
 void Simulator::schedule(Time at, std::function<void()> fn) {
@@ -206,7 +269,12 @@ void Simulator::raw_send(ProcessId from, ProcessId to, const Payload& payload,
   assert(to >= 0 && static_cast<std::size_t>(to) < actors_.size());
   if (crashed(from)) return;  // a dead process sends nothing
   if (mode_ == ExecMode::kControlled) {
-    Message m;
+    if (channel_stride_ != actors_.size()) fit_controlled_tables();
+    const std::uint64_t rank = channel(from, to).send_rank++;
+    // Built in its pending record; every field is (re)assigned because
+    // records are recycled.
+    Message& m =
+        push_controlled(PendingEvent::Kind::kMessage, from, to, kNoProcess, rank).msg;
     m.from = from;
     m.to = to;
     m.layer = layer;
@@ -218,12 +286,11 @@ void Simulator::raw_send(ProcessId from, ProcessId to, const Payload& payload,
       emit(LoggedEvent{now_, LoggedEvent::Kind::kSend, from, to, layer, m.seq,
                        payload_tag(m.payload)});
     }
-    const std::uint64_t rank = channel_send_rank_[PendingEvent::channel_key(from, to)]++;
-    push_controlled(PendingEvent::Kind::kMessage, from, to, kNoProcess, rank).msg = m;
     return;
   }
-  const bool legacy_dup = dup_prob_ > 0.0 && rng_.chance(dup_prob_);
-  bool reorder = reorder_prob_ > 0.0 && rng_.chance(reorder_prob_);
+  Rng& rng = *rng_;
+  const bool legacy_dup = dup_prob_ > 0.0 && rng.chance(dup_prob_);
+  bool reorder = reorder_prob_ > 0.0 && rng.chance(reorder_prob_);
   bool drop = false;
   bool partitioned = false;
   bool adversary_dup = false;
@@ -235,7 +302,7 @@ void Simulator::raw_send(ProcessId from, ProcessId to, const Payload& payload,
     reorder = reorder || d.reorder;
   }
   const bool duplicate = adversary_dup || (!drop && legacy_dup);
-  const Time latency = delays_->sample(from, to, now_, rng_);
+  const Time latency = delays_->sample(from, to, now_, rng);
   // Build the delivery record directly in its slab slot — no stack
   // Message, no stack Event, no copies. Slots are recycled, so every
   // field a later reader touches is (re)assigned here.
@@ -253,7 +320,7 @@ void Simulator::raw_send(ProcessId from, ProcessId to, const Payload& payload,
     const std::uint32_t dup_slot = acquire_slot();  // may move the slab
     Event& dup_ev = slab_[dup_slot];
     dup_ev.msg = slab_[slot].msg;  // independent delay for the ghost
-    network_.stamp(dup_ev.msg, now_, delays_->sample(from, to, now_, rng_), crashed(to),
+    network_.stamp(dup_ev.msg, now_, delays_->sample(from, to, now_, rng), crashed(to),
                    /*fifo=*/false);
     if (adversary_dup && tracing()) {
       emit(LoggedEvent{now_, LoggedEvent::Kind::kDuplicate, from, to, layer,
@@ -338,7 +405,6 @@ void Simulator::deliver_logical(ProcessId from, ProcessId to, const Payload& pay
 }
 
 void Simulator::fire_timer(ProcessId owner, TimerId id) {
-  if (active_timers_.erase(id) == 0) return;  // cancelled (controlled mode)
   if (crashed(owner)) return;
   if (tracing()) {
     emit(LoggedEvent{now_, LoggedEvent::Kind::kTimer, owner, kNoProcess,
@@ -349,13 +415,18 @@ void Simulator::fire_timer(ProcessId owner, TimerId id) {
 
 TimerId Simulator::set_timer(ProcessId owner, Time delay) {
   TimerId id = next_timer_id_++;
-  active_timers_.insert(id);
   if (mode_ == ExecMode::kControlled) {
+    if (channel_stride_ != actors_.size()) fit_controlled_tables();
     // Kept as a pending (no-op if cancelled) choice on purpose: pruning
     // cancelled timers here would shrink the explored choice sets.
-    push_controlled(PendingEvent::Kind::kTimer, kNoProcess, kNoProcess, owner, 0)
-        .timer_id = id;
+    ControlledEvent& ev =
+        push_controlled(PendingEvent::Kind::kTimer, kNoProcess, kNoProcess, owner, 0);
+    ev.timer_id = id;
+    ev.timer_armed = true;
+    armed_timers_.emplace_back(id, pending_tail_);  // the slot just pushed
+    ++timer_counts_[static_cast<std::size_t>(owner)].live;
   } else {
+    active_timers_.insert(id);
     Event ev;
     ev.at = now_ + delay;
     ev.kind = Event::Kind::kTimer;
@@ -366,7 +437,22 @@ TimerId Simulator::set_timer(ProcessId owner, Time delay) {
   return id;
 }
 
-void Simulator::cancel_timer(TimerId id) { active_timers_.erase(id); }
+void Simulator::cancel_timer(TimerId id) {
+  if (mode_ == ExecMode::kTimed) {
+    active_timers_.erase(id);
+    return;
+  }
+  const auto it = std::find_if(armed_timers_.begin(), armed_timers_.end(),
+                               [id](const auto& t) { return t.first == id; });
+  if (it == armed_timers_.end()) return;  // fired or cancelled already
+  ControlledEvent& ev = pending_[it->second];
+  ev.timer_armed = false;
+  TimerCounts& counts = timer_counts_[static_cast<std::size_t>(ev.info.owner)];
+  --counts.live;
+  ++counts.cancelled;
+  *it = armed_timers_.back();
+  armed_timers_.pop_back();
+}
 
 void Simulator::crash(ProcessId p) {
   auto idx = static_cast<std::size_t>(p);
@@ -425,21 +511,14 @@ std::vector<ProcessId> Simulator::live_processes() const {
   return out;
 }
 
-bool Simulator::is_eligible(const ControlledEvent& ev) const {
-  if (ev.info.kind != PendingEvent::Kind::kMessage) return true;
-  // FIFO: only the oldest pending message per directed channel may arrive.
-  const auto it = channel_fifo_.find(ev.info.channel());
-  return it != channel_fifo_.end() && !it->second.empty() &&
-         it->second.front() == ev.info.id;
-}
-
 std::vector<PendingEvent> Simulator::eligible_events() const {
   assert(mode_ == ExecMode::kControlled);
   std::vector<PendingEvent> out;
-  for (const auto& [id, ev] : controlled_) {
-    if (is_eligible(ev)) out.push_back(ev.info);
+  out.reserve(pending_count_);
+  for (std::uint32_t slot = pending_head_; slot != kNoSlot; slot = pending_[slot].next) {
+    if (is_eligible(slot)) out.push_back(pending_[slot].info);
   }
-  return out;  // std::map iteration: sorted by id already
+  return out;  // the id-order list: sorted by id already
 }
 
 void Simulator::controlled_state_key(std::vector<std::uint64_t>& out) const {
@@ -451,29 +530,27 @@ void Simulator::controlled_state_key(std::vector<std::uint64_t>& out) const {
   }
   out.push_back(crash_mask);
 
-  // Directed channels in key order, each as (key, len, [tag, bits]...):
-  // the in-flight payload *sequences* are state; the event ids carrying
-  // them are not.
-  std::vector<std::uint64_t> chans;
-  chans.reserve(channel_fifo_.size());
-  for (const auto& [key, fifo] : channel_fifo_) {
-    if (!fifo.empty()) chans.push_back(key);
-  }
-  std::sort(chans.begin(), chans.end());
-  for (std::uint64_t key : chans) {
-    const auto& fifo = channel_fifo_.at(key);
-    out.push_back(key);
-    out.push_back(fifo.size());
-    for (std::uint64_t id : fifo) {
-      std::uint8_t tag = 0;
-      std::uint64_t bits = 0;
-      const Payload& p = controlled_.at(id).msg.payload;
-      if (!pack_payload(p, tag, bits)) {  // oversized: tag-only fingerprint
-        tag = payload_tag(p);
-        bits = 0;
+  // Non-empty directed channels in key (from, to) order, each as
+  // (key, len, [tag, bits]...): the in-flight payload *sequences* are
+  // state; the event ids carrying them are not.
+  for (std::size_t from = 0; from < channel_stride_; ++from) {
+    for (std::size_t to = 0; to < channel_stride_; ++to) {
+      const ControlledChannel& ch = channels_[from * channel_stride_ + to];
+      if (ch.len == 0) continue;
+      out.push_back(PendingEvent::channel_key(static_cast<ProcessId>(from),
+                                              static_cast<ProcessId>(to)));
+      out.push_back(ch.len);
+      for (std::uint32_t slot = ch.head; slot != kNoSlot; slot = pending_[slot].fifo_next) {
+        const Payload& p = pending_[slot].msg.payload;
+        std::uint8_t tag = 0;
+        std::uint64_t bits = 0;
+        if (!pack_payload(p, tag, bits)) {  // oversized: tag-only fingerprint
+          tag = payload_tag(p);
+          bits = 0;
+        }
+        out.push_back(tag);
+        out.push_back(bits);
       }
-      out.push_back(tag);
-      out.push_back(bits);
     }
   }
 
@@ -481,51 +558,75 @@ void Simulator::controlled_state_key(std::vector<std::uint64_t>& out) const {
   // cancelled timer is inert but still a pending no-op choice, so two
   // states with different cancelled counts have different out-degrees and
   // must not collapse.
-  std::map<ProcessId, std::pair<std::uint64_t, std::uint64_t>> timers;
-  std::uint64_t scheduled = 0;
-  for (const auto& [id, ev] : controlled_) {
-    if (ev.info.kind == PendingEvent::Kind::kScheduled) {
-      ++scheduled;
-    } else if (ev.info.kind == PendingEvent::Kind::kTimer) {
-      auto& [live, cancelled] = timers[ev.info.owner];
-      (active_timers_.count(ev.timer_id) != 0 ? live : cancelled) += 1;
-    }
-  }
-  for (const auto& [owner, counts] : timers) {
+  for (std::size_t owner = 0; owner < timer_counts_.size(); ++owner) {
+    const TimerCounts& c = timer_counts_[owner];
+    if (c.live + c.cancelled == 0) continue;
     out.push_back(static_cast<std::uint64_t>(static_cast<std::uint32_t>(owner)));
-    out.push_back(counts.first);
-    out.push_back(counts.second);
+    out.push_back(c.live);
+    out.push_back(c.cancelled);
   }
   // Scheduled closures are opaque here; the count is state, their roles
   // are the world's to fingerprint (LivenessWorld::event_fingerprint).
-  out.push_back(scheduled);
+  out.push_back(pending_scheduled_);
 }
 
 bool Simulator::execute_event(std::uint64_t id) {
   assert(mode_ == ExecMode::kControlled);
   start();
-  auto it = controlled_.find(id);
-  if (it == controlled_.end() || !is_eligible(it->second)) return false;
-  ControlledEvent ev = std::move(it->second);
-  controlled_.erase(it);
-  if (ev.info.kind == PendingEvent::Kind::kMessage) {
-    auto fifo = channel_fifo_.find(ev.info.channel());
-    fifo->second.pop_front();  // eligibility guaranteed it was the front
-    if (fifo->second.empty()) channel_fifo_.erase(fifo);
+  const std::uint32_t slot = pending_slot(id);
+  if (slot == kNoSlot || !is_eligible(slot)) return false;
+  ControlledEvent& ev = pending_[slot];
+  if (ev.prev != kNoSlot) {
+    pending_[ev.prev].next = ev.next;
+  } else {
+    pending_head_ = ev.next;
   }
+  if (ev.next != kNoSlot) {
+    pending_[ev.next].prev = ev.prev;
+  } else {
+    pending_tail_ = ev.prev;
+  }
+  pending_index_[id & (pending_index_.size() - 1)] = kNoSlot;
+  pending_free_.push_back(slot);
+  --pending_count_;
   now_ += 1;
   ++events_processed_;
   if (metrics_.events != nullptr) metrics_.events->inc();
+  // The handler may push events, which can recycle this slot (or move the
+  // slab) — so take the operands out first.
   switch (ev.info.kind) {
-    case PendingEvent::Kind::kMessage:
-      deliver(ev.msg);
+    case PendingEvent::Kind::kMessage: {
+      ControlledChannel& ch = channel(ev.info.from, ev.info.to);
+      ch.head = ev.fifo_next;  // eligibility guaranteed it was the head
+      if (ch.head == kNoSlot) ch.tail = kNoSlot;
+      --ch.len;
+      const Message m = ev.msg;
+      deliver(m);
       break;
-    case PendingEvent::Kind::kTimer:
-      fire_timer(ev.info.owner, ev.timer_id);
+    }
+    case PendingEvent::Kind::kTimer: {
+      const ProcessId owner = ev.info.owner;
+      const TimerId timer = ev.timer_id;
+      TimerCounts& counts = timer_counts_[static_cast<std::size_t>(owner)];
+      if (!ev.timer_armed) {  // cancelled: a no-op choice
+        --counts.cancelled;
+        break;
+      }
+      --counts.live;
+      const auto it = std::find_if(armed_timers_.begin(), armed_timers_.end(),
+                                   [slot](const auto& t) { return t.second == slot; });
+      *it = armed_timers_.back();
+      armed_timers_.pop_back();
+      fire_timer(owner, timer);
       break;
-    case PendingEvent::Kind::kScheduled:
-      ev.fn();
+    }
+    case PendingEvent::Kind::kScheduled: {
+      --pending_scheduled_;
+      std::function<void()> fn = std::move(ev.fn);
+      ev.fn = nullptr;
+      fn();
       break;
+    }
   }
   return true;
 }
@@ -536,7 +637,7 @@ void Simulator::dispatch(Event&& ev) {
       deliver(ev.msg);
       break;
     case Event::Kind::kTimer:
-      fire_timer(ev.owner, ev.timer_id);
+      if (active_timers_.erase(ev.timer_id) != 0) fire_timer(ev.owner, ev.timer_id);
       break;
     case Event::Kind::kDropSettle:
       network_.delivered(ev.msg);

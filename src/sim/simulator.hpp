@@ -19,10 +19,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -92,7 +91,8 @@ struct PendingEvent {
 class Simulator final : public TransportIface {
  public:
   /// \param seed   master seed for every random stream in the run
-  /// \param delays model for message latencies (defaults to Uniform[1,10])
+  /// \param delays model for message latencies (timed mode; defaults to
+  ///               Uniform[1,10]; controlled mode never samples one)
   /// \param mode   kTimed for experiments, kControlled for model checking
   explicit Simulator(std::uint64_t seed,
                      std::unique_ptr<DelayModel> delays = nullptr,
@@ -137,7 +137,7 @@ class Simulator final : public TransportIface {
 
   /// True if no events are pending.
   [[nodiscard]] bool idle() const {
-    return mode_ == ExecMode::kTimed ? heap_.empty() : controlled_.empty();
+    return mode_ == ExecMode::kTimed ? heap_.empty() : pending_head_ == kNoSlot;
   }
 
   // -- controlled (model-checking) mode ---------------------------------
@@ -283,7 +283,12 @@ class Simulator final : public TransportIface {
   // -- introspection ----------------------------------------------------
 
   [[nodiscard]] Time now() const override { return now_; }
-  Rng& rng() { return rng_; }
+  /// Master stream. Controlled mode never draws from it, so there it is
+  /// seeded on first use (same seed, same stream).
+  Rng& rng() {
+    if (!rng_) rng_.emplace(seed_);
+    return *rng_;
+  }
   Network& network() { return network_; }
   [[nodiscard]] const Network& network() const { return network_; }
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
@@ -345,15 +350,39 @@ class Simulator final : public TransportIface {
     return a.seq_slot > b.seq_slot;
   }
 
+  /// "No record" for the controlled-mode slot links below.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
   /// A pending event in controlled mode: descriptor (including the
-  /// per-channel FIFO rank for messages) plus inline operands — same
+  /// per-channel FIFO rank for messages) plus inline operands — the same
   /// typed-record scheme as the timed heap; only kScheduled carries a
-  /// closure.
+  /// closure. Records live in the `pending_` slab and are threaded on two
+  /// intrusive lists of slots: every pending event in id order
+  /// (`prev`/`next`), and each directed channel's in-flight messages in
+  /// send order (`fifo_next`).
   struct ControlledEvent {
     PendingEvent info;
     TimerId timer_id = 0;      ///< kTimer
-    Message msg;               ///< kMessage
-    std::function<void()> fn;  ///< kScheduled only
+    bool timer_armed = false;  ///< kTimer: not cancelled yet
+    std::uint32_t prev = kNoSlot;
+    std::uint32_t next = kNoSlot;
+    std::uint32_t fifo_next = kNoSlot;  ///< kMessage: next on its channel
+    Message msg;                        ///< kMessage
+    std::function<void()> fn;           ///< kScheduled only
+  };
+  /// One directed channel's in-flight messages in controlled mode: the
+  /// ends of its `fifo_next` list, its length, and the next send rank.
+  struct ControlledChannel {
+    std::uint32_t head = kNoSlot;  ///< oldest in-flight message: the eligible one
+    std::uint32_t tail = kNoSlot;
+    std::uint64_t len = 0;
+    std::uint64_t send_rank = 0;
+  };
+  /// Controlled-mode pending timers per owner (live and cancelled-but-
+  /// unfired), kept current so the state key never has to count them.
+  struct TimerCounts {
+    std::uint64_t live = 0;
+    std::uint64_t cancelled = 0;
   };
 
   /// Grab a free slab slot (recycled or fresh). The returned reference is
@@ -366,8 +395,33 @@ class Simulator final : public TransportIface {
   /// Cold-path convenience: copy a ready-made record into a slot and
   /// commit it. The hot send path builds records in place instead.
   std::uint64_t push_event(const Event& ev);
+  /// Give the next event id to a fresh pending record and append it to
+  /// the id-order list. The reference is valid until the next push.
   ControlledEvent& push_controlled(PendingEvent::Kind kind, ProcessId from, ProcessId to,
                                    ProcessId owner, std::uint64_t channel_rank);
+  /// Slot of the pending event with this id, or kNoSlot.
+  [[nodiscard]] std::uint32_t pending_slot(std::uint64_t id) const {
+    if (pending_index_.empty()) return kNoSlot;
+    const std::uint32_t slot = pending_index_[id & (pending_index_.size() - 1)];
+    return slot != kNoSlot && pending_[slot].info.id == id ? slot : kNoSlot;
+  }
+  /// Rebuild the id index at `capacity` (a power of two larger than the
+  /// id span of the pending events).
+  void reindex_pending(std::size_t capacity);
+  /// Directed channel (from, to) of the controlled-mode channel table.
+  [[nodiscard]] ControlledChannel& channel(ProcessId from, ProcessId to) {
+    return channels_[static_cast<std::size_t>(from) * channel_stride_ +
+                     static_cast<std::size_t>(to)];
+  }
+  [[nodiscard]] const ControlledChannel& channel(ProcessId from, ProcessId to) const {
+    return channels_[static_cast<std::size_t>(from) * channel_stride_ +
+                     static_cast<std::size_t>(to)];
+  }
+  /// Size the per-process controlled tables (channels, timer counts) for
+  /// the current number of processes, keeping their contents. Writers
+  /// call it when a process was added since; readers use the stored
+  /// layout, which covers every process that has touched a table.
+  void fit_controlled_tables();
   /// 4-ary min-heap primitives over `heap_` (earliest (at, seq) on top).
   /// Quarter the depth of a binary heap and all four children share one
   /// cache line (4 × 24 B), so pops touch far less memory; because
@@ -385,8 +439,13 @@ class Simulator final : public TransportIface {
   /// just called and the heap is non-empty.
   void pop_and_dispatch();
   void dispatch(Event&& ev);
+  /// Run a live (not cancelled) timer's handler, unless its owner crashed.
   void fire_timer(ProcessId owner, TimerId id);
-  [[nodiscard]] bool is_eligible(const ControlledEvent& ev) const;
+  [[nodiscard]] bool is_eligible(std::uint32_t slot) const {
+    // FIFO: only the oldest pending message per directed channel may arrive.
+    const PendingEvent& info = pending_[slot].info;
+    return info.kind != PendingEvent::Kind::kMessage || channel(info.from, info.to).head == slot;
+  }
   void deliver(const Message& m);
 
   /// True when anyone is listening for logged events. Every event
@@ -400,7 +459,7 @@ class Simulator final : public TransportIface {
   }
 
   std::uint64_t seed_;
-  Rng rng_;
+  std::optional<Rng> rng_;
   std::unique_ptr<DelayModel> delays_;
   ExecMode mode_;
   Network network_;
@@ -419,13 +478,7 @@ class Simulator final : public TransportIface {
   std::vector<std::uint32_t> free_slots_;
   /// Closures of pending kCallback events, keyed by event seq.
   std::unordered_map<std::uint64_t, std::function<void()>> callbacks_;
-  std::map<std::uint64_t, ControlledEvent> controlled_;  // by event id
-  /// Controlled mode: per-directed-channel FIFO of pending message event
-  /// ids, in send (= channel_rank) order. An event is eligible iff it is
-  /// at the front of its channel — O(1), making eligible_events()
-  /// O(pending) instead of O(pending²).
-  std::unordered_map<std::uint64_t, std::deque<std::uint64_t>> channel_fifo_;
-  std::unordered_map<std::uint64_t, std::uint64_t> channel_send_rank_;
+  /// Timed mode: timers not cancelled yet.
   std::unordered_set<TimerId> active_timers_;
   std::uint64_t next_event_seq_ = 0;
   std::uint64_t next_timer_id_ = 1;
@@ -439,6 +492,34 @@ class Simulator final : public TransportIface {
   SimMetrics metrics_;
   Time now_ = 0;
   bool started_ = false;
+
+  /// Controlled mode: slab of pending records (slots recycled through
+  /// `pending_free_`) and the id index — a ring mapping event id modulo
+  /// its (power-of-two) size to a slot. Ids are handed out consecutively,
+  /// so while the oldest pending id is within the ring size of the newest
+  /// no two pending events share an index entry: lookup and erase are
+  /// O(1). `pending_head_`/`pending_tail_` are the ends of the id-order
+  /// list; iterating it visits pending events only, in id order.
+  std::vector<ControlledEvent> pending_;
+  std::vector<std::uint32_t> pending_free_;
+  std::vector<std::uint32_t> pending_index_;
+  /// First sizes: the index spans a model-checking world's whole event
+  /// history, the slab its peak number of pending events.
+  static constexpr std::size_t kInitialIndex = 64;
+  static constexpr std::size_t kInitialSlots = 32;
+  std::uint32_t pending_head_ = kNoSlot;
+  std::uint32_t pending_tail_ = kNoSlot;
+  std::uint64_t pending_count_ = 0;
+  std::uint64_t pending_scheduled_ = 0;  ///< pending kScheduled events
+  /// Controlled mode: directed channels, dense [from * stride + to]. An
+  /// event is eligible iff it heads its channel — O(1), making
+  /// eligible_events() O(pending).
+  std::vector<ControlledChannel> channels_;
+  std::size_t channel_stride_ = 0;
+  /// Controlled mode: (timer id, slot) of every armed pending timer, for
+  /// cancel_timer(); a handful per world, so a scan is the lookup.
+  std::vector<std::pair<TimerId, std::uint32_t>> armed_timers_;
+  std::vector<TimerCounts> timer_counts_;  ///< per owner (controlled mode)
 };
 
 }  // namespace ekbd::sim

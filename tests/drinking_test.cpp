@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "dining/checkers.hpp"
@@ -203,6 +204,13 @@ struct DrinkSweep {
   std::uint64_t seed;
   double need_prob;
   std::size_t crashes;
+
+  // Without this gtest prints the raw bytes, pointer included, so the
+  // listed test names would change from one run to the next.
+  friend std::ostream& operator<<(std::ostream& os, const DrinkSweep& s) {
+    return os << s.topology << "_n" << s.n << "_s" << s.seed << "_p" << s.need_prob << "_f"
+              << s.crashes;
+  }
 };
 
 class DrinkingSweep : public ::testing::TestWithParam<DrinkSweep> {};

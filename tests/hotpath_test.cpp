@@ -2,8 +2,10 @@
 // plus the determinism properties the rewrite must not disturb.
 //
 //  * SimHotPath — a counting global allocator proves the steady-state
-//    send→deliver cycle never touches the heap, and cancelled timers are
-//    discarded without advancing time or the events_processed counter.
+//    send→deliver cycle never touches the heap, in timed mode and in the
+//    controlled mode the model checker replays through (state keys
+//    included), and cancelled timers are discarded without advancing time
+//    or the events_processed counter.
 //  * SimDeterminism — per-actor RNG streams depend only on (master seed,
 //    id), and a fixed-seed E1-style scenario still produces the exact
 //    event log it produced before the queue rewrite (golden digest).
@@ -13,7 +15,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -93,6 +97,78 @@ TEST(SimHotPath, SteadyStateSendDeliverDoesNotAllocate) {
   EXPECT_EQ(allocs, 0u) << "send→deliver hot path touched the heap";
   // Sanity: the measured window really did carry sustained traffic.
   EXPECT_GE(sim.events_processed() - events_before, 2'000u);
+}
+
+/// Controlled-mode traffic: every delivery replies and re-arms the
+/// actor's timer, cancelling the previous one if it is still pending — so
+/// sends, timer arming, cancellation and both kinds of timer firing (live
+/// and cancelled) all recur.
+struct ControlledEcho : ekbd::sim::Actor {
+  TimerId armed = 0;
+  void on_message(const Message& m) override {
+    send(m.from, ekbd::core::Ping{}, MsgLayer::kDining);
+    if (armed != 0) cancel_timer(armed);
+    armed = set_timer(1);
+  }
+  void on_timer(TimerId id) override {
+    if (id == armed) armed = 0;
+  }
+  using Actor::send;
+};
+
+std::unique_ptr<Simulator> controlled_ring_of_three() {
+  auto sim = std::make_unique<Simulator>(1, nullptr, ekbd::sim::ExecMode::kControlled);
+  std::array<ControlledEcho*, 3> a{};
+  for (auto& p : a) p = sim->make_actor<ControlledEcho>();
+  sim->start();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i]->send(a[(i + 1) % a.size()]->id(), ekbd::core::Ping{}, MsgLayer::kDining);
+  }
+  return sim;
+}
+
+TEST(SimHotPath, ControlledStepDoesNotAllocate) {
+#ifdef EKBD_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes allocate behind the scenes";
+#endif
+  // Record a schedule on one world, then replay its event ids on a fresh
+  // one — exactly how the model checker rebuilds a state. Alternating the
+  // oldest and the newest eligible event keeps old events draining while
+  // new ones interleave.
+  constexpr std::size_t kSteps = 3'000;
+  constexpr std::size_t kWarmup = 500;
+  std::vector<std::uint64_t> ids;
+  {
+    auto sim = controlled_ring_of_three();
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      const auto evs = sim->eligible_events();
+      ASSERT_FALSE(evs.empty());
+      ids.push_back(step % 2 == 0 ? evs.front().id : evs.back().id);
+      ASSERT_TRUE(sim->execute_event(ids.back()));
+    }
+  }
+  auto sim = controlled_ring_of_three();
+  // Warm-up: grows the pending slab, its id index and the channel table
+  // to their steady sizes and creates the Network's channel books.
+  for (std::size_t i = 0; i < kWarmup; ++i) ASSERT_TRUE(sim->execute_event(ids[i]));
+  std::vector<std::uint64_t> key;
+  key.reserve(256);
+  sim->controlled_state_key(key);
+
+  g_new_calls.store(0, std::memory_order_relaxed);
+  std::size_t fired = 0;
+  for (std::size_t i = kWarmup; i < kSteps; ++i) fired += sim->execute_event(ids[i]) ? 1 : 0;
+  const auto step_allocs = g_new_calls.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) {
+    key.clear();
+    sim->controlled_state_key(key);
+  }
+  const auto key_allocs = g_new_calls.load(std::memory_order_relaxed) - step_allocs;
+
+  EXPECT_EQ(fired, kSteps - kWarmup) << "replay diverged";
+  EXPECT_EQ(step_allocs, 0u) << "controlled send/timer/execute_event touched the heap";
+  EXPECT_EQ(key_allocs, 0u) << "controlled_state_key touched the heap";
+  EXPECT_GT(key.size(), 1u);  // the key really covered in-flight traffic
 }
 
 struct TimerCounter : ekbd::sim::Actor {

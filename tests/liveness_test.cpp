@@ -15,10 +15,12 @@
 ///  3. round-trips — lassos unroll for any number of laps and close the
 ///     state key every lap; Results are bit-identical for 1/2/8 threads;
 ///  4. guards — sleep sets and random walks are refused for liveness,
-///     and the sleep-set tick-insensitivity contract still holds for
-///     explore() on the finite-meal crash-free liveness worlds.
+///     worlds beyond the state key's packing limits are refused, and the
+///     sleep-set tick-insensitivity contract still holds for explore() on
+///     the finite-meal crash-free liveness worlds.
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -78,12 +80,23 @@ std::string drive_ids(DinnerLivenessWorld& world, const std::vector<std::uint64_
 // ------------------------------------------------------ P3 certification
 
 TEST(LivenessCertify, WaitFreedomOnK3) {
+  // Also pins the exact size of the certification (perfbench mc-k3, E23
+  // certify/p3-k3): any change to the protocol, the simulator's
+  // controlled mode or the checker that moves one explored state, one
+  // executed node or one replayed event fails here.
   LivenessConfig cfg;
   cfg.topology = "clique";
   cfg.n = 3;
-  const Result r = check_liveness(make_dinner_liveness_factory(cfg),
-                                  live_options(120, 80'000'000));
-  expect_certified(r);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    Options opt = live_options(120, 80'000'000);
+    opt.threads = threads;
+    const Result r = check_liveness(make_dinner_liveness_factory(cfg), opt);
+    expect_certified(r);
+    EXPECT_EQ(r.unique_states, 48'899u) << threads << " threads";
+    EXPECT_EQ(r.nodes_executed, 149'970u) << threads << " threads";
+    EXPECT_EQ(r.replayed_events, 5'317'461u) << threads << " threads";
+    EXPECT_EQ(r.scc_count, 1u) << threads << " threads";
+  }
 }
 
 TEST(LivenessCertify, WaitFreedomOnC5) {
@@ -395,6 +408,27 @@ TEST(LivenessGuards, RefusesRandomWalks) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.config_error, ekbd::mc::kLivenessRandomWalkRefusal);
   EXPECT_EQ(r.unique_states, 0u);
+}
+
+TEST(LivenessGuards, RejectsDegreeAboveEight) {
+  // Eight bits per neighbor in one state-key word: a ninth neighbor
+  // would shift past the word and could merge distinct states.
+  LivenessConfig cfg;
+  cfg.topology = "clique";
+  cfg.n = 10;
+  EXPECT_THROW((void)make_dinner_liveness_factory(cfg), std::invalid_argument);
+  EXPECT_THROW(DinnerLivenessWorld world(cfg), std::invalid_argument);
+}
+
+TEST(LivenessGuards, RejectsMoreThanSixteenProcesses) {
+  // Four overtake bits per (waiter, eater) pair in one word per waiter.
+  LivenessConfig cfg;
+  cfg.topology = "ring";  // degree 2: only the process count is out of range
+  cfg.n = 17;
+  EXPECT_THROW((void)make_dinner_liveness_factory(cfg), std::invalid_argument);
+  EXPECT_THROW(DinnerLivenessWorld world(cfg), std::invalid_argument);
+  cfg.n = 16;
+  EXPECT_NO_THROW((void)make_dinner_liveness_factory(cfg));
 }
 
 /// Adapt the liveness factory for plain explore() (safety DFS).
