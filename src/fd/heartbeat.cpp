@@ -1,7 +1,8 @@
 #include "fd/heartbeat.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <functional>
+#include <stdexcept>
 
 namespace ekbd::fd {
 
@@ -11,11 +12,20 @@ using ekbd::sim::TimerId;
 
 HeartbeatModule::HeartbeatModule(std::vector<ProcessId> neighbors, Params params)
     : neighbors_(std::move(neighbors)), params_(params) {
-  for (ProcessId n : neighbors_) {
-    NeighborState st;
-    st.timeout = params_.initial_timeout;
-    state_.emplace(n, st);
+  if (std::adjacent_find(neighbors_.begin(), neighbors_.end(), std::greater_equal<>()) !=
+      neighbors_.end()) {
+    throw std::invalid_argument("HeartbeatModule: neighbors must be strictly increasing");
   }
+  NeighborState st;
+  st.timeout = params_.initial_timeout;
+  state_.assign(neighbors_.size(), st);
+}
+
+std::size_t HeartbeatModule::index_of(ProcessId target) const {
+  const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), target);
+  return it != neighbors_.end() && *it == target
+             ? static_cast<std::size_t>(it - neighbors_.begin())
+             : neighbors_.size();
 }
 
 void HeartbeatModule::start(ModuleHost& host) {
@@ -26,7 +36,7 @@ void HeartbeatModule::start(ModuleHost& host) {
   // not a retraction, so it does not count as a detector mistake).
   started_ = true;
   const Time now = host.module_now();
-  for (auto& [n, st] : state_) {
+  for (NeighborState& st : state_) {
     st.last_heard = now;
     st.suspected = false;
   }
@@ -35,9 +45,9 @@ void HeartbeatModule::start(ModuleHost& host) {
 
 void HeartbeatModule::tick(ModuleHost& host) {
   const Time now = host.module_now();
-  for (ProcessId n : neighbors_) {
-    host.module_send(n, Heartbeat{}, MsgLayer::kDetector);
-    NeighborState& st = state_[n];
+  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
+    host.module_send(neighbors_[i], Heartbeat{}, MsgLayer::kDetector);
+    NeighborState& st = state_[i];
     if (!st.suspected && now - st.last_heard > st.timeout) {
       st.suspected = true;
     }
@@ -47,9 +57,9 @@ void HeartbeatModule::tick(ModuleHost& host) {
 
 bool HeartbeatModule::handle_message(ModuleHost& host, const Message& m) {
   if (m.as<Heartbeat>() == nullptr) return false;
-  auto it = state_.find(m.from);
-  if (it == state_.end()) return true;  // heartbeat from a non-neighbor: ignore
-  NeighborState& st = it->second;
+  const std::size_t i = index_of(m.from);
+  if (i == state_.size()) return true;  // heartbeat from a non-neighbor: ignore
+  NeighborState& st = state_[i];
   st.last_heard = host.module_now();
   if (st.suspected) {
     // The suspicion was a mistake (the "dead" neighbor spoke): retract and
@@ -69,33 +79,39 @@ bool HeartbeatModule::handle_timer(ModuleHost& host, TimerId id) {
 }
 
 bool HeartbeatModule::suspects(ProcessId target) const {
-  auto it = state_.find(target);
-  return it != state_.end() && it->second.suspected;
+  const std::size_t i = index_of(target);
+  return i != state_.size() && state_[i].suspected;
 }
 
 Time HeartbeatModule::timeout_of(ProcessId target) const {
-  auto it = state_.find(target);
-  return it == state_.end() ? 0 : it->second.timeout;
+  const std::size_t i = index_of(target);
+  return i == state_.size() ? 0 : state_[i].timeout;
 }
 
 void HeartbeatDetector::attach(ProcessId owner, const HeartbeatModule* module) {
-  modules_[owner] = module;
+  const auto idx = static_cast<std::size_t>(owner);
+  if (idx >= modules_.size()) modules_.resize(idx + 1, nullptr);
+  modules_[idx] = module;
 }
 
 bool HeartbeatDetector::suspects(ProcessId owner, ProcessId target) const {
-  auto it = modules_.find(owner);
-  return it != modules_.end() && it->second->suspects(target);
+  const auto idx = static_cast<std::size_t>(owner);
+  return idx < modules_.size() && modules_[idx] != nullptr && modules_[idx]->suspects(target);
 }
 
 std::uint64_t HeartbeatDetector::total_false_suspicions() const {
   std::uint64_t total = 0;
-  for (const auto& [id, m] : modules_) total += m->false_suspicions();
+  for (const HeartbeatModule* m : modules_) {
+    if (m != nullptr) total += m->false_suspicions();
+  }
   return total;
 }
 
 Time HeartbeatDetector::last_retraction() const {
   Time latest = 0;
-  for (const auto& [id, m] : modules_) latest = std::max(latest, m->last_retraction());
+  for (const HeartbeatModule* m : modules_) {
+    if (m != nullptr) latest = std::max(latest, m->last_retraction());
+  }
   return latest;
 }
 

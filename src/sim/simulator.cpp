@@ -1,12 +1,25 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <utility>
 
 namespace ekbd::sim {
+
+namespace {
+
+/// Checked in every build type: a past event would pop first and move the
+/// clock backwards (and share a wheel bucket with a future tick).
+[[noreturn]] void reject_past(Time at, Time now) {
+  throw std::invalid_argument("sim: cannot schedule at t=" + std::to_string(at) +
+                              ", before now=" + std::to_string(now));
+}
+
+}  // namespace
 
 // -------------------------------------------------- TransportIface glue --
 
@@ -49,7 +62,10 @@ Simulator::Simulator(std::uint64_t seed, std::unique_ptr<DelayModel> delays, Exe
       delays_(delays || mode == ExecMode::kControlled ? std::move(delays)
                                                       : make_uniform_delay(1, 10)),
       mode_(mode) {
-  if (mode_ == ExecMode::kTimed) rng_.emplace(seed_);
+  if (mode_ == ExecMode::kTimed) {
+    rng_.emplace(seed_);
+    wheel_ = std::make_unique<Wheel>();
+  }
 }
 
 ProcessId Simulator::add_actor(std::unique_ptr<Actor> actor) {
@@ -107,12 +123,29 @@ std::uint32_t Simulator::acquire_slot() {
 
 std::uint64_t Simulator::commit_event(std::uint32_t slot) {
   Event& ev = slab_[slot];
-  assert(ev.at >= now_ && "cannot schedule into the past");
+  if (ev.at < now_) {
+    free_slots_.push_back(slot);
+    reject_past(ev.at, now_);
+  }
   ev.seq = next_event_seq_++;
-  heap_.push_back(HeapEntry{ev.at, ev.seq * kMaxSlots + slot});
-  heap_sift_up(heap_.size() - 1);
+  if (wheel_ != nullptr && ev.at - now_ < static_cast<Time>(kWheelSpan)) {
+    const std::size_t b = static_cast<std::size_t>(ev.at) & (kWheelSpan - 1);
+    Wheel::Bucket& bucket = wheel_->buckets[b];
+    ev.next = kNoSlot;
+    if (bucket.tail != kNoSlot) {
+      slab_[bucket.tail].next = slot;
+    } else {
+      bucket.head = slot;
+      wheel_->occupied[b >> 6] |= 1ULL << (b & 63);
+    }
+    bucket.tail = slot;
+    ++wheel_count_;
+  } else {
+    heap_.push_back(HeapEntry{ev.at, (ev.seq << kSlotBits) | slot});
+    heap_sift_up(heap_.size() - 1);
+  }
   if (metrics_.queue_depth != nullptr) {
-    metrics_.queue_depth->set(static_cast<std::int64_t>(heap_.size()));
+    metrics_.queue_depth->set(static_cast<std::int64_t>(wheel_count_ + heap_.size()));
   }
   if (metrics_.slab_live != nullptr) {
     metrics_.slab_live->set(static_cast<std::int64_t>(slab_.size() - free_slots_.size()));
@@ -153,6 +186,48 @@ void Simulator::heap_pop_front() {
   heap_[0] = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) heap_sift_down(0);
+}
+
+std::size_t Simulator::wheel_first_bucket() const {
+  // Every wheel record fires in [now, now + span), so the earliest one is
+  // the first occupied bucket at or after now's. Scan now's word from its
+  // bit on, then the following words, wrapping back to now's word — whose
+  // bits at or after now's are known clear by then, so any still set are
+  // the last ticks of the span.
+  const auto& occ = wheel_->occupied;
+  const std::size_t start = static_cast<std::size_t>(now_) & (kWheelSpan - 1);
+  std::size_t w = start >> 6;
+  std::uint64_t bits = occ[w] & (~0ULL << (start & 63));
+  while (bits == 0) {
+    w = (w + 1) & (kWheelWords - 1);
+    bits = occ[w];
+  }
+  return (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+std::uint32_t Simulator::front_slot() const {
+  std::uint32_t slot = kNoSlot;
+  if (wheel_count_ != 0) slot = wheel_->buckets[wheel_first_bucket()].head;
+  if (!heap_.empty() && (slot == kNoSlot || heap_.front().at <= slab_[slot].at)) {
+    slot = heap_.front().slot();  // ties go to the heap: it holds the smaller seq
+  }
+  return slot;
+}
+
+void Simulator::unlink_front(std::uint32_t slot) {
+  if (!heap_.empty() && heap_.front().slot() == slot) {
+    heap_pop_front();
+    return;
+  }
+  const std::size_t b = static_cast<std::size_t>(slab_[slot].at) & (kWheelSpan - 1);
+  Wheel::Bucket& bucket = wheel_->buckets[b];
+  assert(bucket.head == slot);
+  bucket.head = slab_[slot].next;
+  if (bucket.head == kNoSlot) {
+    bucket.tail = kNoSlot;
+    wheel_->occupied[b >> 6] &= ~(1ULL << (b & 63));
+  }
+  --wheel_count_;
 }
 
 std::uint64_t Simulator::push_event(const Event& ev) {
@@ -242,6 +317,9 @@ void Simulator::fit_controlled_tables() {
 
 void Simulator::schedule(Time at, std::function<void()> fn) {
   if (mode_ == ExecMode::kControlled) {
+    // `at` orders nothing here, but a past instant is a caller bug in
+    // both modes (timed mode rejects it in commit_event).
+    if (at < now_) reject_past(at, now_);
     push_controlled(PendingEvent::Kind::kScheduled, kNoProcess, kNoProcess, kNoProcess, 0)
         .fn = std::move(fn);
     return;
@@ -414,8 +492,11 @@ void Simulator::fire_timer(ProcessId owner, TimerId id) {
 }
 
 TimerId Simulator::set_timer(ProcessId owner, Time delay) {
-  TimerId id = next_timer_id_++;
+  if (delay < 0) {
+    throw std::invalid_argument("sim: negative timer delay " + std::to_string(delay));
+  }
   if (mode_ == ExecMode::kControlled) {
+    const TimerId id = next_timer_id_++;
     if (channel_stride_ != actors_.size()) fit_controlled_tables();
     // Kept as a pending (no-op if cancelled) choice on purpose: pruning
     // cancelled timers here would shrink the explored choice sets.
@@ -425,21 +506,32 @@ TimerId Simulator::set_timer(ProcessId owner, Time delay) {
     ev.timer_armed = true;
     armed_timers_.emplace_back(id, pending_tail_);  // the slot just pushed
     ++timer_counts_[static_cast<std::size_t>(owner)].live;
-  } else {
-    active_timers_.insert(id);
-    Event ev;
-    ev.at = now_ + delay;
-    ev.kind = Event::Kind::kTimer;
-    ev.owner = owner;
-    ev.timer_id = id;
-    push_event(std::move(ev));
+    return id;
   }
+  // The id packs a fresh counter above the record's slot: still strictly
+  // increasing per simulator, and cancel_timer() finds the record (and
+  // its armed flag) without a lookup table.
+  const std::uint32_t slot = acquire_slot();
+  const TimerId id = (next_timer_id_++ << kSlotBits) | slot;
+  Event& ev = slab_[slot];
+  ev.at = now_ + delay;
+  ev.kind = Event::Kind::kTimer;
+  ev.armed = true;
+  ev.owner = owner;
+  ev.timer_id = id;
+  commit_event(slot);
   return id;
 }
 
 void Simulator::cancel_timer(TimerId id) {
   if (mode_ == ExecMode::kTimed) {
-    active_timers_.erase(id);
+    // The slot may have been recycled since: only the record still
+    // carrying this id is this timer (ids are never reused).
+    const std::uint64_t slot = id & (kMaxSlots - 1);
+    if (slot < slab_.size()) {
+      Event& ev = slab_[slot];
+      if (ev.kind == Event::Kind::kTimer && ev.timer_id == id) ev.armed = false;
+    }
     return;
   }
   const auto it = std::find_if(armed_timers_.begin(), armed_timers_.end(),
@@ -472,12 +564,11 @@ void Simulator::recover(ProcessId p) {
   // The dead incarnation's pending timers must never fire into the new one
   // (the Actor contract discards a crashed actor's timers). Crashes without
   // recovery get this for free from the crashed() check in fire_timer; here
-  // the flag is about to clear, so cancel them explicitly.
-  for (const HeapEntry& he : heap_) {
-    const Event& ev = slab_[he.slot()];
-    if (ev.kind == Event::Kind::kTimer && ev.owner == p) {
-      active_timers_.erase(ev.timer_id);
-    }
+  // the flag is about to clear, so cancel them explicitly. Walking the
+  // slab reaches both queue levels at once; its free slots hold records
+  // that already fired or were discarded, where the flag is never read.
+  for (Event& ev : slab_) {
+    if (ev.kind == Event::Kind::kTimer && ev.owner == p) ev.armed = false;
   }
   crash_times_[idx] = -1;
   last_recover_[idx] = now_;
@@ -493,9 +584,10 @@ void Simulator::schedule_recovery(ProcessId p, Time at) {
 }
 
 void Simulator::schedule_crash(ProcessId p, Time at) {
-  // Always on the timed heap (historical quirk, preserved: in controlled
-  // mode the heap is never drained, so a scheduled crash never fires —
-  // mc worlds crash processes via crash() from a scheduled choice).
+  // Always on the timed queue (historical quirk, preserved: controlled
+  // mode has no wheel, so the record lands on the heap, which is never
+  // drained there — a scheduled crash never fires; mc worlds crash
+  // processes via crash() from a scheduled choice).
   Event ev;
   ev.at = at;
   ev.kind = Event::Kind::kCrash;
@@ -637,7 +729,8 @@ void Simulator::dispatch(Event&& ev) {
       deliver(ev.msg);
       break;
     case Event::Kind::kTimer:
-      if (active_timers_.erase(ev.timer_id) != 0) fire_timer(ev.owner, ev.timer_id);
+      assert(ev.armed && "prune_cancelled() discards disarmed timers");
+      fire_timer(ev.owner, ev.timer_id);
       break;
     case Event::Kind::kDropSettle:
       network_.delivered(ev.msg);
@@ -663,32 +756,30 @@ void Simulator::dispatch(Event&& ev) {
   }
 }
 
-void Simulator::prune_cancelled() {
-  // A cancelled timer's record stays in the heap (removing from the middle
-  // of a binary heap is O(n)); it is discarded when it surfaces, without
-  // advancing time or counting as a processed event.
-  while (!heap_.empty()) {
+std::uint32_t Simulator::prune_cancelled() {
+  // A cancelled timer's record stays queued (unlinking it from the middle
+  // of a bucket or the heap is not worth it); it is discarded when it
+  // surfaces, without advancing time or counting as a processed event.
+  for (;;) {
+    const std::uint32_t slot = front_slot();
+    if (slot == kNoSlot) return kNoSlot;
     // Touching the front's slab line here is free: a live front is read
     // from the same line by pop_and_dispatch() immediately after.
-    const std::uint32_t slot = heap_.front().slot();
     const Event& front = slab_[slot];
-    if (front.kind != Event::Kind::kTimer) break;
-    if (active_timers_.find(front.timer_id) != active_timers_.end()) break;
+    if (front.kind != Event::Kind::kTimer || front.armed) return slot;
+    unlink_front(slot);
     free_slots_.push_back(slot);
-    heap_pop_front();
   }
 }
 
-void Simulator::pop_and_dispatch() {
-  const HeapEntry entry = heap_.front();
-  const std::uint32_t slot = entry.slot();
-  heap_pop_front();
-  assert(entry.at >= now_);
-  now_ = entry.at;
+void Simulator::pop_and_dispatch(std::uint32_t slot) {
+  unlink_front(slot);
+  assert(slab_[slot].at >= now_);
+  now_ = slab_[slot].at;
   ++events_processed_;
   if (metrics_.events != nullptr) metrics_.events->inc();
   if (metrics_.queue_depth != nullptr) {
-    metrics_.queue_depth->set(static_cast<std::int64_t>(heap_.size()));
+    metrics_.queue_depth->set(static_cast<std::int64_t>(wheel_count_ + heap_.size()));
   }
   // The handler may push events, which can recycle (or reallocate) the
   // slot being read — so copy out before dispatching. Deliveries (the
@@ -706,9 +797,9 @@ void Simulator::pop_and_dispatch() {
 
 bool Simulator::step() {
   assert(mode_ == ExecMode::kTimed && "use execute_event in controlled mode");
-  prune_cancelled();
-  if (heap_.empty()) return false;
-  pop_and_dispatch();
+  const std::uint32_t slot = prune_cancelled();
+  if (slot == kNoSlot) return false;
+  pop_and_dispatch(slot);
   return true;
 }
 
@@ -718,9 +809,9 @@ void Simulator::run_until(Time t) {
   for (;;) {
     // Prune before the horizon check: a cancelled record at the front must
     // not be mistaken for a runnable event, nor hide one behind it.
-    prune_cancelled();
-    if (heap_.empty() || heap_.front().at > t) break;
-    pop_and_dispatch();
+    const std::uint32_t slot = prune_cancelled();
+    if (slot == kNoSlot || slab_[slot].at > t) break;
+    pop_and_dispatch(slot);
   }
   if (t > now_) now_ = t;
 }

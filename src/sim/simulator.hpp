@@ -1,9 +1,9 @@
 /// \file simulator.hpp
 /// Deterministic discrete-event simulator.
 ///
-/// Executes a set of Actors over virtual time: a single priority queue of
-/// events (message deliveries, timers, externally scheduled callbacks)
-/// ordered by (time, sequence number). Given the same seed and the same
+/// Executes a set of Actors over virtual time: one event queue (message
+/// deliveries, timers, externally scheduled callbacks) drained in strict
+/// (time, sequence number) order. Given the same seed and the same
 /// sequence of API calls, two runs are bit-identical — every experiment in
 /// this repository is replayable from its parameters.
 ///
@@ -18,13 +18,13 @@
 /// actor's `on_recover` runs a protocol-level rejoin.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -48,7 +48,7 @@ namespace ekbd::sim {
 struct SimMetrics {
   obs::Counter* events = nullptr;      ///< events dispatched
   obs::Counter* sends = nullptr;       ///< physical sends (raw_send)
-  obs::Gauge* queue_depth = nullptr;   ///< timed event heap size
+  obs::Gauge* queue_depth = nullptr;   ///< pending timed events (wheel + heap)
   obs::Gauge* slab_live = nullptr;     ///< live slab records (occupancy)
 };
 
@@ -137,7 +137,8 @@ class Simulator final : public TransportIface {
 
   /// True if no events are pending.
   [[nodiscard]] bool idle() const {
-    return mode_ == ExecMode::kTimed ? heap_.empty() : pending_head_ == kNoSlot;
+    return mode_ == ExecMode::kTimed ? wheel_count_ == 0 && heap_.empty()
+                                     : pending_head_ == kNoSlot;
   }
 
   // -- controlled (model-checking) mode ---------------------------------
@@ -174,9 +175,13 @@ class Simulator final : public TransportIface {
   // -- actor services (the sim::TransportIface implementation) ----------
 
   void send(ProcessId from, ProcessId to, const Payload& payload, MsgLayer layer) override;
+  /// Arm a one-shot timer `delay` ticks from now. Throws
+  /// std::invalid_argument if `delay` is negative.
   TimerId set_timer(ProcessId owner, Time delay) override;
-  /// Timer ids are unique per simulator, so the owner is redundant here —
-  /// the interface carries it for engines with per-actor timer state.
+  /// Timer ids are unique per simulator (in timed mode they also carry the
+  /// timer's slab slot, so cancelling is one indexed store), so the owner
+  /// is redundant here — the interface carries it for engines with
+  /// per-actor timer state.
   void cancel_timer(ProcessId owner, TimerId id) override { (void)owner; cancel_timer(id); }
   void cancel_timer(TimerId id);
 
@@ -211,7 +216,9 @@ class Simulator final : public TransportIface {
 
   // -- external scheduling (harness / tests) ---------------------------
 
-  /// Run `fn` at absolute virtual time `at` (>= now).
+  /// Run `fn` at absolute virtual time `at`. Throws std::invalid_argument
+  /// if `at` is before now() (in every build type: a past event would pop
+  /// first and move the clock backwards).
   void schedule(Time at, std::function<void()> fn);
 
   /// Run `fn` `delay` ticks from now.
@@ -255,7 +262,8 @@ class Simulator final : public TransportIface {
   /// Crash `p` immediately (idempotent).
   void crash(ProcessId p);
 
-  /// Crash `p` at absolute time `at`.
+  /// Crash `p` at absolute time `at` (>= now(), else
+  /// std::invalid_argument).
   void schedule_crash(ProcessId p, Time at);
 
   /// Bring a crashed `p` back (timed mode only; no-op if live). The new
@@ -265,7 +273,8 @@ class Simulator final : public TransportIface {
   /// channels). Fires `Actor::on_recover`.
   void recover(ProcessId p);
 
-  /// Recover `p` at absolute time `at`.
+  /// Recover `p` at absolute time `at` (>= now(), else
+  /// std::invalid_argument).
   void schedule_recovery(ProcessId p, Time at);
 
   [[nodiscard]] bool crashed(ProcessId p) const {
@@ -299,10 +308,14 @@ class Simulator final : public TransportIface {
   Rng& actor_rng(ProcessId p) override;
 
  private:
-  /// One record in the timed event heap. A typed discriminant instead of a
+  /// "No record" for the slot links below (wheel buckets and the
+  /// controlled-mode lists alike).
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// One pending timed event. A typed discriminant instead of a
   /// per-event heap-allocated `std::function` closure: the steady-state
   /// kinds (deliveries, timers, drop settlements, crashes) carry their
-  /// operands inline, so pushing and popping them never allocates — and
+  /// operands inline, so queueing and popping them never allocates — and
   /// the record is trivially copyable, so slab stores are plain memcpys.
   /// Externally scheduled callbacks (`schedule()`) keep a closure, parked
   /// in `callbacks_` under the event's seq — they are harness-frequency,
@@ -310,7 +323,7 @@ class Simulator final : public TransportIface {
   struct Event {
     enum class Kind : std::uint8_t {
       kDeliver,     ///< hand `msg` to its recipient (or drop at a corpse)
-      kTimer,       ///< fire timer `timer_id` at `owner` unless cancelled
+      kTimer,       ///< fire timer `timer_id` at `owner` unless disarmed
       kDropSettle,  ///< `msg` was lost in flight: settle books, log loss
       kCrash,       ///< crash process `owner`
       kCallback,    ///< run the closure filed under `seq` in `callbacks_`
@@ -319,17 +332,22 @@ class Simulator final : public TransportIface {
     std::uint64_t seq = 0;
     Kind kind = Kind::kCallback;
     bool partitioned = false;      ///< kDropSettle: partition cut vs. random loss
+    bool armed = false;            ///< kTimer: not cancelled yet
+    std::uint32_t next = kNoSlot;  ///< next record in the same wheel bucket
     ProcessId owner = kNoProcess;  ///< kTimer / kCrash subject
     TimerId timer_id = 0;          ///< kTimer
     Message msg;                   ///< kDeliver / kDropSettle
   };
-  /// What the heap actually sifts: 16 bytes — the firing time plus a
-  /// packed (seq, slot) word, seq in the high bits so comparing the word
-  /// orders by seq (slot is dead weight below unique-seq bits). Keeping
-  /// the ~100-byte Event records out of the heap makes every sift step a
-  /// two-word move, and at 16 bytes the four children of a 4-ary node
-  /// share a single cache line — the difference between O(log n) in
-  /// theory and in the cache.
+  /// Slab slot bits. Heap keys and timed-mode TimerIds pack a slot into
+  /// their low bits: 2^21 ≈ 2M *concurrently pending* events, with 43 bits
+  /// left above for the seq or timer counter (centuries of simulated
+  /// traffic). acquire_slot() hard-fails at the cap rather than silently
+  /// mis-ordering.
+  static constexpr unsigned kSlotBits = 21;
+  static constexpr std::uint64_t kMaxSlots = 1ULL << kSlotBits;
+  /// Far-level entry: the firing time plus a packed (seq, slot) word, seq
+  /// in the high bits so comparing the word orders by seq. 16 bytes, so
+  /// the four children of a 4-ary node share one cache line.
   struct HeapEntry {
     Time at = 0;
     std::uint64_t seq_slot = 0;
@@ -337,11 +355,6 @@ class Simulator final : public TransportIface {
       return static_cast<std::uint32_t>(seq_slot & (kMaxSlots - 1));
     }
   };
-  /// Slab slots spendable before the packed word runs out of room:
-  /// 2^21 ≈ 2M *concurrently pending* events (seq gets the other 43
-  /// bits — centuries of simulated traffic). acquire_slot() hard-fails
-  /// at the cap rather than silently mis-ordering.
-  static constexpr std::uint64_t kMaxSlots = 1ULL << 21;
   /// Strict "a fires after b" on the (at, seq) key. seq is unique, so
   /// this is a *total* order: the pop sequence is fully determined by the
   /// key and does not depend on the heap's internal shape or arity.
@@ -350,8 +363,25 @@ class Simulator final : public TransportIface {
     return a.seq_slot > b.seq_slot;
   }
 
-  /// "No record" for the controlled-mode slot links below.
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Near level of the timed queue: one bucket per tick of
+  /// [now, now + kWheelSpan), indexed by `at mod kWheelSpan`. Every event
+  /// committed less than a span ahead lands here; time never runs
+  /// backwards, so each bucket only ever holds a single tick. Buckets are
+  /// intrusive FIFO lists of slab slots (linked through Event::next) and
+  /// `occupied` has one bit per non-empty bucket, so finding the earliest
+  /// bucket scans at most kWheelSpan / 64 words and never walks empty
+  /// ticks. The span covers the longest pre-GST delay spikes (~1,200
+  /// ticks), keeping nearly every message and timer out of the heap.
+  static constexpr std::size_t kWheelSpan = 2048;
+  static constexpr std::size_t kWheelWords = kWheelSpan / 64;
+  struct Wheel {
+    struct Bucket {
+      std::uint32_t head = kNoSlot;
+      std::uint32_t tail = kNoSlot;
+    };
+    std::array<Bucket, kWheelSpan> buckets{};
+    std::array<std::uint64_t, kWheelWords> occupied{};
+  };
 
   /// A pending event in controlled mode: descriptor (including the
   /// per-channel FIFO rank for messages) plus inline operands — the same
@@ -388,9 +418,12 @@ class Simulator final : public TransportIface {
   /// Grab a free slab slot (recycled or fresh). The returned reference is
   /// valid only until the next acquire (the slab may reallocate).
   std::uint32_t acquire_slot();
-  /// Assign the next event seq to the record in `slot` and push it on the
-  /// heap. The record's `at` and `kind` must be final. Returns the seq
-  /// (keys `callbacks_` for kCallback records).
+  /// Assign the next event seq to the record in `slot` and queue it: on
+  /// the wheel if it fires less than kWheelSpan ticks from now, else on
+  /// the heap (always the heap in controlled mode, which has no wheel).
+  /// The record's `at` and `kind` must be final. Returns the seq (keys
+  /// `callbacks_` for kCallback records). Throws std::invalid_argument,
+  /// releasing the slot, if `at` is before now().
   std::uint64_t commit_event(std::uint32_t slot);
   /// Cold-path convenience: copy a ready-made record into a slot and
   /// commit it. The hot send path builds records in place instead.
@@ -424,20 +457,29 @@ class Simulator final : public TransportIface {
   void fit_controlled_tables();
   /// 4-ary min-heap primitives over `heap_` (earliest (at, seq) on top).
   /// Quarter the depth of a binary heap and all four children share one
-  /// cache line (4 × 24 B), so pops touch far less memory; because
-  /// (at, seq) is a total order the pop sequence is identical to any
-  /// other heap arity — arity is pure mechanics, not semantics.
+  /// cache line, so pops touch far less memory; because (at, seq) is a
+  /// total order the pop sequence is identical to any other heap arity.
   void heap_sift_up(std::size_t i);
   void heap_sift_down(std::size_t i);
   /// Remove heap_[0], restoring the heap property.
   void heap_pop_front();
-  /// Pop-and-discard cancelled-timer records at the heap front. They are
-  /// dead weight, not events: skipping them must not advance time or the
-  /// events_processed counter.
-  void prune_cancelled();
-  /// Pop and run the earliest event. Precondition: prune_cancelled() was
-  /// just called and the heap is non-empty.
-  void pop_and_dispatch();
+  /// Index of the earliest non-empty wheel bucket: the first occupied bit
+  /// at or after now's bucket, wrapping once. Precondition: wheel_count_ > 0.
+  [[nodiscard]] std::size_t wheel_first_bucket() const;
+  /// Slot of the earliest pending timed event, or kNoSlot when none is
+  /// pending. Ties on `at` go to the heap: a heap entry for tick t was
+  /// committed while t was still a span or more away, i.e. before every
+  /// wheel entry for t, so it has the smaller seq.
+  [[nodiscard]] std::uint32_t front_slot() const;
+  /// Remove `slot`, which front_slot() just returned, from its level.
+  void unlink_front(std::uint32_t slot);
+  /// Discard disarmed (cancelled) timer records at the queue front and
+  /// return the front slot (kNoSlot if the queue ran dry). Disarmed
+  /// timers are dead weight, not events: skipping them must not advance
+  /// time or the events_processed counter.
+  std::uint32_t prune_cancelled();
+  /// Unlink and run the front event `slot` (from prune_cancelled()).
+  void pop_and_dispatch(std::uint32_t slot);
   void dispatch(Event&& ev);
   /// Run a live (not cancelled) timer's handler, unless its owner crashed.
   void fire_timer(ProcessId owner, TimerId id);
@@ -469,17 +511,19 @@ class Simulator final : public TransportIface {
   /// Latest recovery instant per process (-1: never recovered). Deliveries
   /// of messages sent before this are dropped — see recover().
   std::vector<Time> last_recover_;
-  /// Timed mode: 4-ary min-heap over (at, seq) on a plain vector of
-  /// compact HeapEntry keys; the Event records live in `slab_` (slots
-  /// recycled through `free_slots_`), so sifting moves 24-byte keys, not
-  /// 100-byte records.
+  /// Timed event queue, two levels over one slab of Event records (slots
+  /// recycled through `free_slots_`): the wheel holds everything due
+  /// within a span of now, the 4-ary heap of compact HeapEntry keys the
+  /// rest. Far events stay in the heap until they fire; they are never
+  /// migrated. Controlled mode allocates no wheel: its only timed-queue
+  /// records are schedule_crash() entries, which go to the heap.
+  std::unique_ptr<Wheel> wheel_;
+  std::size_t wheel_count_ = 0;  ///< records on the wheel
   std::vector<HeapEntry> heap_;
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_slots_;
   /// Closures of pending kCallback events, keyed by event seq.
   std::unordered_map<std::uint64_t, std::function<void()>> callbacks_;
-  /// Timed mode: timers not cancelled yet.
-  std::unordered_set<TimerId> active_timers_;
   std::uint64_t next_event_seq_ = 0;
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t events_processed_ = 0;

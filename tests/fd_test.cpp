@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "fd/accrual.hpp"
 #include "fd/detector.hpp"
@@ -228,6 +229,23 @@ TEST(Heartbeat, IgnoresNonNeighborHeartbeats) {
 TEST(Heartbeat, DetectorFacadeUnknownOwner) {
   HeartbeatDetector det;
   EXPECT_FALSE(det.suspects(9, 1));
+  // Owners are dense indices: an attached higher owner leaves the gap
+  // below it unattached, not suspecting.
+  const HeartbeatModule m({1, 3}, {});
+  det.attach(4, &m);
+  EXPECT_FALSE(det.suspects(2, 1));
+  EXPECT_FALSE(det.suspects(4, 1));
+  EXPECT_EQ(det.total_false_suspicions(), 0u);
+}
+
+TEST(Heartbeat, RejectsUnsortedOrDuplicateNeighbors) {
+  // Per-neighbor state is looked up by binary search over the list.
+  EXPECT_THROW(HeartbeatModule({3, 1}, {}), std::invalid_argument);
+  EXPECT_THROW(HeartbeatModule({1, 1, 2}, {}), std::invalid_argument);
+  const HeartbeatModule m({0, 2, 7}, {});
+  EXPECT_EQ(m.timeout_of(2), HeartbeatModule::Params{}.initial_timeout);
+  EXPECT_EQ(m.timeout_of(3), 0);
+  EXPECT_FALSE(m.suspects(7));
 }
 
 // --- ping-pong detector --------------------------------------------------

@@ -6,6 +6,8 @@
 //    controlled mode the model checker replays through (state keys
 //    included), and cancelled timers are discarded without advancing time
 //    or the events_processed counter.
+//  * SimQueue (here: its allocation pin) — a controlled-mode simulator
+//    builds no timing wheel; the rest of the suite is in sim_test.cpp.
 //  * SimDeterminism — per-actor RNG streams depend only on (master seed,
 //    id), and a fixed-seed E1-style scenario still produces the exact
 //    event log it produced before the queue rewrite (golden digest).
@@ -214,6 +216,25 @@ struct Idle : ekbd::sim::Actor {
   void on_message(const Message&) override {}
   void on_timer(TimerId) override {}
 };
+
+TEST(SimQueue, ControlledModeBuildsNoWheel) {
+#ifdef EKBD_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes allocate behind the scenes";
+#endif
+  // Model checking builds ~150k controlled worlds per certification, so
+  // their construction cost is pinned: a timing wheel built in controlled
+  // mode (or anything else eager) shows up here first. 15 is the count
+  // from before the timed queue had a wheel: per actor its object and the
+  // growth of four per-process vectors, nothing in the constructor or
+  // start().
+  g_new_calls.store(0, std::memory_order_relaxed);
+  {
+    Simulator sim(1, nullptr, ekbd::sim::ExecMode::kControlled);
+    for (int i = 0; i < 3; ++i) sim.make_actor<Idle>();
+    sim.start();
+  }
+  EXPECT_EQ(g_new_calls.load(std::memory_order_relaxed), 15u);
+}
 
 TEST(SimDeterminism, ActorRngIndependentOfFirstUseOrder) {
   constexpr std::uint64_t kSeed = 77;

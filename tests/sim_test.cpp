@@ -1,9 +1,17 @@
 // Unit tests for the discrete-event simulator: ordering, FIFO channels,
-// timers, crash semantics, determinism, delay models, network accounting.
+// timers, crash semantics, determinism, delay models, network accounting,
+// and (SimQueue) the two-level timed queue — timing wheel plus far heap —
+// against a reference ordered by (at, seq).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/delay_model.hpp"
@@ -470,6 +478,284 @@ TEST(Network, LogicalBooksMirrorPhysicalBooks) {
   EXPECT_EQ(net.sends_to_crashed(2, MsgLayer::kDining), 1u);
   net.logical_dropped(0, 2, MsgLayer::kDining);
   EXPECT_EQ(net.channel(0, 2, MsgLayer::kDining).in_transit, 0);
+}
+
+// -- SimQueue ------------------------------------------------------------
+
+/// Ticks covered by the simulator's timing wheel. The tests aim delays at
+/// its edges; were the span to change they would still check the order,
+/// just less pointedly.
+constexpr Time kSpan = 2048;
+
+/// Every sample returns `next`: the differential test picks each
+/// message's latency itself.
+struct SteeredDelay final : ekbd::sim::DelayModel {
+  Time next = 1;
+  Time sample(ProcessId, ProcessId, Time, ekbd::sim::Rng&) override { return next; }
+};
+
+/// Drives a Simulator with seeded random sends, timers, cancels and
+/// schedule() callbacks and checks every dispatch against a reference
+/// queue ordered by (at, commit order) — commit order being seq order, as
+/// each call below commits exactly one event. Channels run with reorder
+/// on, so a message arrives exactly max(1, latency) after its send.
+class QueueMix {
+ public:
+  explicit QueueMix(std::uint64_t seed, std::uint64_t budget)
+      : rng_(seed), budget_(budget) {
+    auto delay = std::make_unique<SteeredDelay>();
+    delay_ = delay.get();
+    sim_ = std::make_unique<Simulator>(seed, std::move(delay));
+    sim_->set_channel_faults(0.0, 1.0);
+    for (auto& n : nodes_) n = sim_->make_actor<Node>(this);
+    sim_->start();
+  }
+
+  /// Alternate step() and run_until() (horizons that mostly fall between
+  /// events) until the reference queue and the budget are exhausted.
+  void run() {
+    for (int i = 0; i < 8; ++i) act();
+    while (!pending_.empty() || budget_ > 0) {
+      if (pending_.empty()) act();
+      if (rng_.chance(0.5)) {
+        const bool expect = !pending_.empty();
+        ASSERT_EQ(sim_->step(), expect);
+      } else {
+        static constexpr std::array<Time, 6> kHorizon{0, 1, 7, kSpan / 2, kSpan, 3 * kSpan};
+        const Time t = sim_->now() + kHorizon[rng_.index(kHorizon.size())];
+        sim_->run_until(t);
+        ASSERT_EQ(sim_->now(), t);
+        ASSERT_TRUE(pending_.empty() || pending_.begin()->first > t);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Only disarmed records can be left; the next step discards them.
+    EXPECT_FALSE(sim_->step());
+    EXPECT_TRUE(sim_->idle());
+  }
+
+  std::uint64_t fired = 0;
+  std::uint64_t cross_level_ties = 0;  ///< far-committed then near-committed, same tick
+
+ private:
+  struct Node : ekbd::sim::Actor {
+    explicit Node(QueueMix* m) : mix(m) {}
+    void on_message(const Message& m) override {
+      mix->on_fire(static_cast<std::uint64_t>(m.as<ekbd::sim::Datum>()->value));
+    }
+    void on_timer(TimerId id) override {
+      const auto it = mix->timers_.find(id);
+      ASSERT_NE(it, mix->timers_.end()) << "a cancelled or unknown timer fired";
+      const std::uint64_t token = it->second.first;
+      mix->timers_.erase(it);
+      mix->dead_timer_ = id;  // its slot may be reused by a later timer
+      mix->on_fire(token);
+    }
+    using Actor::cancel_timer;
+    using Actor::send;
+    using Actor::set_timer;
+    QueueMix* mix;
+  };
+  void on_fire(std::uint64_t token) {
+    ASSERT_FALSE(pending_.empty()) << "dispatch with an empty reference";
+    const auto [at, expect] = *pending_.begin();
+    ASSERT_EQ(token, expect) << "out of (at, seq) order at t=" << sim_->now();
+    ASSERT_EQ(sim_->now(), at);
+    pending_.erase(pending_.begin());
+    const bool far = far_.erase(token) != 0;
+    if (last_at_ == at && last_far_ && !far) ++cross_level_ties;
+    last_at_ = at;
+    last_far_ = far;
+    ++fired;
+    for (std::size_t i = rng_.index(3); i > 0; --i) act();
+  }
+
+  Time pick_delay() {
+    static constexpr std::array<Time, 8> kDelay{0, 1, kSpan - 1, kSpan, kSpan + 1, 10 * kSpan,
+                                                3, 40};
+    return kDelay[rng_.index(kDelay.size())];
+  }
+
+  std::uint64_t commit(Time at) {
+    const std::uint64_t token = next_token_++;
+    pending_.emplace(at, token);
+    if (at - sim_->now() >= kSpan) far_.insert(token);
+    --budget_;
+    return token;
+  }
+
+  void act() {
+    if (budget_ == 0) return;
+    const Time now = sim_->now();
+    Node* self = nodes_[rng_.index(nodes_.size())];
+    switch (rng_.index(5)) {
+      case 0: {  // message
+        const Time d = pick_delay();
+        delay_->next = d;
+        const std::uint64_t token = commit(now + (d < 1 ? 1 : d));
+        self->send(nodes_[rng_.index(nodes_.size())]->id(),
+                   ekbd::sim::Datum{static_cast<std::int64_t>(token)}, MsgLayer::kOther);
+        break;
+      }
+      case 1: {  // timer
+        const Time d = pick_delay();
+        const std::uint64_t token = commit(now + d);
+        timers_[self->set_timer(d)] = {token, now + d};
+        break;
+      }
+      case 2: {  // callback
+        const Time d = pick_delay();
+        const std::uint64_t token = commit(now + d);
+        sim_->schedule(now + d, [this, token] { on_fire(token); });
+        break;
+      }
+      case 3: {  // callback tied with a pending event (often far-committed)
+        if (pending_.empty()) return;
+        const auto it = pending_.lower_bound({now + rng_.uniform_int(0, 4 * kSpan), 0});
+        const Time at = it == pending_.end() ? pending_.rbegin()->first : it->first;
+        const std::uint64_t token = commit(at);
+        sim_->schedule(at, [this, token] { on_fire(token); });
+        break;
+      }
+      default: {  // cancel a pending timer, or a dead (fired or cancelled) id
+        if (timers_.empty() || rng_.chance(0.3)) {
+          self->cancel_timer(dead_timer_);
+          return;
+        }
+        auto it = timers_.begin();
+        std::advance(it, rng_.index(std::min<std::size_t>(timers_.size(), 8)));
+        const auto [token, at] = it->second;
+        self->cancel_timer(it->first);
+        dead_timer_ = it->first;
+        pending_.erase({at, token});
+        far_.erase(token);
+        timers_.erase(it);
+        break;
+      }
+    }
+  }
+
+  ekbd::sim::Rng rng_;
+  std::uint64_t budget_;
+  SteeredDelay* delay_ = nullptr;
+  std::unique_ptr<Simulator> sim_;
+  std::array<Node*, 4> nodes_{};
+  std::set<std::pair<Time, std::uint64_t>> pending_;  ///< (at, commit order)
+  std::unordered_set<std::uint64_t> far_;  ///< tokens committed a span or more ahead
+  std::unordered_map<TimerId, std::pair<std::uint64_t, Time>> timers_;  ///< armed: token, at
+  TimerId dead_timer_ = 0;
+  std::uint64_t next_token_ = 0;
+  Time last_at_ = -1;
+  bool last_far_ = false;
+};
+
+TEST(SimQueue, DispatchOrderMatchesReferenceAcrossWheelAndHeap) {
+  std::uint64_t ties = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    QueueMix d(seed, 6'000);
+    d.run();
+    if (HasFatalFailure()) return;
+    EXPECT_GT(d.fired, 3'000u) << "seed " << seed;
+    ties += d.cross_level_ties;
+  }
+  // The same-tick tie rule (heap first) was really exercised.
+  EXPECT_GT(ties, 0u);
+}
+
+/// Logs every timer firing as (id, time).
+struct TimerLog : ekbd::sim::Actor {
+  std::vector<std::pair<TimerId, Time>> fired;
+  void on_message(const Message&) override {}
+  void on_timer(TimerId id) override { fired.emplace_back(id, now()); }
+};
+
+TEST(SimQueue, RecoverDisarmsTimersOnBothLevels) {
+  Simulator sim(1);
+  auto* a = sim.make_actor<TimerLog>();
+  auto* b = sim.make_actor<TimerLog>();
+  sim.start();
+  // The victim's timers sit on the wheel (5, span-1) and on the heap
+  // (span+5, 10×span); the bystander shares two of those ticks.
+  for (const Time d : {Time{5}, kSpan - 1, kSpan + 5, 10 * kSpan}) sim.set_timer(a->id(), d);
+  const TimerId b_near = sim.set_timer(b->id(), 5);
+  const TimerId b_far = sim.set_timer(b->id(), kSpan + 5);
+  sim.run_until(2);
+  sim.crash(a->id());
+  sim.recover(a->id());
+  const TimerId fresh = sim.set_timer(a->id(), kSpan + 5);  // the new incarnation's
+  sim.run_until(20 * kSpan);
+  EXPECT_EQ(a->fired, (std::vector<std::pair<TimerId, Time>>{{fresh, kSpan + 7}}));
+  EXPECT_EQ(b->fired, (std::vector<std::pair<TimerId, Time>>{{b_near, 5}, {b_far, kSpan + 5}}));
+  // Disarmed records are discarded, not processed.
+  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_TRUE(sim.idle());
+}
+
+/// Re-arms its timer on every firing, alternating the far end of the
+/// wheel (span-1) and the heap (3×span): a world with nearly nothing
+/// pending.
+struct SparseTicker : ekbd::sim::Actor {
+  std::vector<Time> fired;
+  void on_message(const Message&) override {}
+  void on_start() override { set_timer(kSpan - 1); }
+  void on_timer(TimerId) override {
+    fired.push_back(now());
+    set_timer(fired.size() % 2 == 0 ? kSpan - 1 : 3 * kSpan);
+  }
+};
+
+TEST(SimQueue, SparseWorldAndHorizonsBetweenEvents) {
+  Simulator sim(1);
+  auto* t = sim.make_actor<SparseTicker>();
+  sim.start();
+  std::vector<Time> expect;
+  Time at = kSpan - 1;
+  for (int i = 0; i < 40; ++i) {
+    expect.push_back(at);
+    at += (i % 2 == 0) ? 3 * kSpan : kSpan - 1;
+  }
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    // Stop one tick short: nothing may fire, yet the clock moves there.
+    sim.run_until(expect[i] - 1);
+    ASSERT_EQ(t->fired.size(), i);
+    ASSERT_EQ(sim.now(), expect[i] - 1);
+    // step() then runs exactly the next event, at its own time.
+    ASSERT_TRUE(sim.step());
+    ASSERT_EQ(t->fired.size(), i + 1);
+    ASSERT_EQ(sim.now(), expect[i]);
+  }
+  EXPECT_EQ(t->fired, expect);
+  EXPECT_EQ(sim.events_processed(), expect.size());
+}
+
+TEST(SimQueue, RejectsSchedulingIntoThePast) {
+  Simulator sim(1);
+  auto* a = sim.make_actor<TimerLog>();
+  sim.start();
+  sim.run_until(100);
+  int ran = 0;
+  EXPECT_THROW(sim.schedule(99, [&] { ++ran; }), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_in(-1, [&] { ++ran; }), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_crash(a->id(), 50), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_recovery(a->id(), 99), std::invalid_argument);
+  EXPECT_THROW(sim.set_timer(a->id(), -1), std::invalid_argument);
+  // A rejected call leaves nothing queued; the present is still fine.
+  EXPECT_TRUE(sim.idle());
+  sim.schedule(100, [&] { ++ran; });
+  sim.set_timer(a->id(), 0);
+  sim.run_until(100);
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(a->fired.size(), 1u);
+  EXPECT_FALSE(sim.crashed(a->id()));
+  EXPECT_EQ(sim.now(), 100);
+
+  Simulator mc(1, nullptr, ekbd::sim::ExecMode::kControlled);
+  auto* c = mc.make_actor<TimerLog>();
+  mc.start();
+  EXPECT_THROW(mc.schedule(-1, [] {}), std::invalid_argument);
+  EXPECT_THROW(mc.set_timer(c->id(), -1), std::invalid_argument);
+  EXPECT_THROW(mc.schedule_crash(c->id(), -1), std::invalid_argument);
+  EXPECT_TRUE(mc.eligible_events().empty());
 }
 
 }  // namespace
