@@ -5,6 +5,18 @@
 
 namespace ekbd::obs {
 
+// ------------------------------------------------------------- EdgeTable --
+
+void detail::EdgeTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+  mask_ = slots_.size() - 1;
+  size_ = 0;
+  for (const Slot& s : old) {
+    if (s.used) (*this)[s.key] = s.value;
+  }
+}
+
 // -------------------------------------------------- ForkUniquenessMonitor --
 
 void ForkUniquenessMonitor::on_event(const sim::LoggedEvent& ev) {
@@ -13,7 +25,7 @@ void ForkUniquenessMonitor::on_event(const sim::LoggedEvent& ev) {
     case sim::LoggedEvent::Kind::kSend:
     case sim::LoggedEvent::Kind::kDuplicate: {
       ++fork_sends_;
-      int& n = in_transit_[edge_key(ev.from, ev.to)];
+      int& n = in_transit_[detail::edge_key(ev.from, ev.to)];
       ++n;
       if (n > 1) violations_.push_back(Violation{ev.at, ev.from, ev.to, n});
       break;
@@ -22,7 +34,7 @@ void ForkUniquenessMonitor::on_event(const sim::LoggedEvent& ev) {
     case sim::LoggedEvent::Kind::kDrop:
     case sim::LoggedEvent::Kind::kLoss:
     case sim::LoggedEvent::Kind::kPartitionLoss:
-      --in_transit_[edge_key(ev.from, ev.to)];
+      --in_transit_[detail::edge_key(ev.from, ev.to)];
       break;
     case sim::LoggedEvent::Kind::kTimer:
     case sim::LoggedEvent::Kind::kCrash:
@@ -32,8 +44,8 @@ void ForkUniquenessMonitor::on_event(const sim::LoggedEvent& ev) {
 }
 
 int ForkUniquenessMonitor::in_transit(sim::ProcessId a, sim::ProcessId b) const {
-  const auto it = in_transit_.find(edge_key(a, b));
-  return it == in_transit_.end() ? 0 : it->second;
+  const int* n = in_transit_.find(detail::edge_key(a, b));
+  return n == nullptr ? 0 : *n;
 }
 
 // ------------------------------------------------------- ExclusionMonitor --
@@ -45,16 +57,16 @@ void ExclusionMonitor::on_trace_event(const dining::TraceEvent& ev) {
   switch (ev.kind) {
     case dining::TraceEventKind::kStartEating: {
       adj_.for_each_neighbor(ev.process, [&](const sim::ProcessId q) {
-        if (eating_.count(q) != 0) {
+        if (eating(q)) {
           violations_.push_back(dining::ExclusionViolation{ev.at, ev.process, q});
         }
       });
-      eating_.insert(ev.process);
+      set_eating(ev.process, true);
       break;
     }
     case dining::TraceEventKind::kStopEating:
     case dining::TraceEventKind::kCrashed:
-      eating_.erase(ev.process);
+      set_eating(ev.process, false);
       break;
     default:
       adj_.apply(ev);  // edge churn moves the adjacency overlay
@@ -62,11 +74,27 @@ void ExclusionMonitor::on_trace_event(const dining::TraceEvent& ev) {
   }
 }
 
+void ExclusionMonitor::set_eating(sim::ProcessId p, bool on) {
+  if (p < 0) return;
+  const auto i = static_cast<std::size_t>(p);
+  if (i >= eating_.size()) {
+    if (!on) return;
+    eating_.resize(i + 1, 0);
+  }
+  if ((eating_[i] != 0) == on) return;
+  eating_[i] = on ? 1 : 0;
+  if (on) {
+    ++eating_count_;
+  } else {
+    --eating_count_;
+  }
+}
+
 // ---------------------------------------------------- ChannelBoundMonitor --
 
 void ChannelBoundMonitor::on_high_water(sim::MsgLayer layer, sim::ProcessId from,
                                         sim::ProcessId to, int in_transit, sim::Time at) {
-  maxima_[static_cast<int>(layer)][edge_key(from, to)] = in_transit;
+  maxima_[static_cast<int>(layer)][detail::edge_key(from, to)] = in_transit;
   if (layer == sim::MsgLayer::kDining && in_transit > kDiningBound) {
     violations_.push_back(Violation{layer, from, to, in_transit, at});
   }
@@ -74,39 +102,43 @@ void ChannelBoundMonitor::on_high_water(sim::MsgLayer layer, sim::ProcessId from
 
 int ChannelBoundMonitor::max_in_transit(sim::MsgLayer layer, sim::ProcessId a,
                                         sim::ProcessId b) const {
-  const auto& m = maxima_[static_cast<int>(layer)];
-  const auto it = m.find(edge_key(a, b));
-  return it == m.end() ? 0 : it->second;
+  const int* m = maxima_[static_cast<int>(layer)].find(detail::edge_key(a, b));
+  return m == nullptr ? 0 : *m;
 }
 
 int ChannelBoundMonitor::max_in_transit_any(sim::MsgLayer layer) const {
-  int best = 0;
-  for (const auto& [key, v] : maxima_[static_cast<int>(layer)]) {
-    if (v > best) best = v;
-  }
-  return best;
+  return maxima_[static_cast<int>(layer)].max_value();
 }
 
 // ------------------------------------------------------ QuiescenceMonitor --
 
 void QuiescenceMonitor::on_send(sim::MsgLayer layer, sim::ProcessId to, sim::Time at,
                                 bool target_crashed) {
-  PerTarget& pt = per_target_[static_cast<int>(layer)][to];
+  if (to < 0) return;  // no such process: nothing to book
+  auto& books = per_target_[static_cast<int>(layer)];
+  const auto i = static_cast<std::size_t>(to);
+  if (i >= books.size()) books.resize(i + 1);
+  PerTarget& pt = books[i];
   pt.last_send = at;
   if (target_crashed) ++pt.after_crash;
 }
 
+const QuiescenceMonitor::PerTarget* QuiescenceMonitor::find(sim::ProcessId target,
+                                                            sim::MsgLayer layer) const {
+  const auto& books = per_target_[static_cast<int>(layer)];
+  if (target < 0 || static_cast<std::size_t>(target) >= books.size()) return nullptr;
+  return &books[static_cast<std::size_t>(target)];
+}
+
 sim::Time QuiescenceMonitor::last_send_to(sim::ProcessId target, sim::MsgLayer layer) const {
-  const auto& m = per_target_[static_cast<int>(layer)];
-  const auto it = m.find(target);
-  return it == m.end() ? -1 : it->second.last_send;
+  const PerTarget* pt = find(target, layer);
+  return pt == nullptr ? -1 : pt->last_send;
 }
 
 std::uint64_t QuiescenceMonitor::sends_to_crashed(sim::ProcessId target,
                                                   sim::MsgLayer layer) const {
-  const auto& m = per_target_[static_cast<int>(layer)];
-  const auto it = m.find(target);
-  return it == m.end() ? 0 : it->second.after_crash;
+  const PerTarget* pt = find(target, layer);
+  return pt == nullptr ? 0 : pt->after_crash;
 }
 
 // ------------------------------------------------------------- MonitorHub --

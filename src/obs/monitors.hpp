@@ -21,11 +21,14 @@
 ///
 /// Monitors observe and never mutate: none of them re-enters the
 /// simulator, the network or the trace.
+///
+/// Their books are flat: per-edge counts live in an open-addressing
+/// table, per-process state in vectors indexed by process id (grown on
+/// demand). The streaming rt collector calls every hook once per merged
+/// record, so no tree or node-based map sits on that path.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -36,6 +39,75 @@
 #include "sim/network.hpp"
 
 namespace ekbd::obs {
+
+namespace detail {
+
+/// Undirected-edge key: (min id) << 32 | (max id).
+inline std::uint64_t edge_key(sim::ProcessId a, sim::ProcessId b) {
+  const auto lo = static_cast<std::uint64_t>(static_cast<std::uint32_t>(a < b ? a : b));
+  const auto hi = static_cast<std::uint64_t>(static_cast<std::uint32_t>(a < b ? b : a));
+  return (lo << 32) | hi;
+}
+
+/// Open-addressing map from an edge key to an int (linear probing over a
+/// power-of-two table, load factor <= 1/2). Entries are never erased —
+/// edge books only grow — and iteration order is unspecified, so callers
+/// only look up or fold (max) over it.
+class EdgeTable {
+ public:
+  /// The value for `key`, inserted as 0 if absent.
+  int& operator[](std::uint64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    std::size_t i = hash(key) & mask_;
+    while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask_;
+    if (!slots_[i].used) {
+      slots_[i].used = true;
+      slots_[i].key = key;
+      ++size_;
+    }
+    return slots_[i].value;
+  }
+
+  /// The value for `key`, or nullptr if absent.
+  [[nodiscard]] const int* find(std::uint64_t key) const {
+    if (size_ == 0) return nullptr;
+    std::size_t i = hash(key) & mask_;
+    while (slots_[i].used) {
+      if (slots_[i].key == key) return &slots_[i].value;
+      i = (i + 1) & mask_;
+    }
+    return nullptr;
+  }
+
+  /// Largest value held (0 when empty).
+  [[nodiscard]] int max_value() const {
+    int best = 0;
+    for (const Slot& s : slots_) {
+      if (s.used && s.value > best) best = s.value;
+    }
+    return best;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    int value = 0;
+    bool used = false;
+  };
+  static std::size_t hash(std::uint64_t k) {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    return static_cast<std::size_t>(k);
+  }
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
 
 /// P1: per undirected edge, at most one core::Fork in transit. Counts
 /// fork sends/deliveries from the logged event stream; a second fork
@@ -57,13 +129,7 @@ class ForkUniquenessMonitor final : public sim::EventSink {
   [[nodiscard]] std::uint64_t fork_sends() const { return fork_sends_; }
 
  private:
-  static std::uint64_t edge_key(sim::ProcessId a, sim::ProcessId b) {
-    const auto lo = static_cast<std::uint64_t>(a < b ? a : b);
-    const auto hi = static_cast<std::uint64_t>(a < b ? b : a);
-    return (lo << 32) | hi;
-  }
-
-  std::map<std::uint64_t, int> in_transit_;
+  detail::EdgeTable in_transit_;
   std::vector<Violation> violations_;
   std::uint64_t fork_sends_ = 0;
 };
@@ -85,11 +151,18 @@ class ExclusionMonitor final : public dining::TraceObserver {
     return violations_;
   }
   /// Processes currently eating (monitor's live view).
-  [[nodiscard]] std::size_t eating_now() const { return eating_.size(); }
+  [[nodiscard]] std::size_t eating_now() const { return eating_count_; }
 
  private:
+  [[nodiscard]] bool eating(sim::ProcessId p) const {
+    return p >= 0 && static_cast<std::size_t>(p) < eating_.size() &&
+           eating_[static_cast<std::size_t>(p)] != 0;
+  }
+  void set_eating(sim::ProcessId p, bool on);
+
   dining::DynamicAdjacency adj_;
-  std::set<sim::ProcessId> eating_;
+  std::vector<std::uint8_t> eating_;  ///< per-process flag
+  std::size_t eating_count_ = 0;
   std::vector<dining::ExclusionViolation> violations_;
 };
 
@@ -121,18 +194,13 @@ class ChannelBoundMonitor final {
   [[nodiscard]] const std::vector<Violation>& violations() const { return violations_; }
 
  private:
-  static std::uint64_t edge_key(sim::ProcessId a, sim::ProcessId b) {
-    const auto lo = static_cast<std::uint64_t>(a < b ? a : b);
-    const auto hi = static_cast<std::uint64_t>(a < b ? b : a);
-    return (lo << 32) | hi;
-  }
-
-  std::map<std::uint64_t, int> maxima_[sim::kNumMsgLayers];
+  detail::EdgeTable maxima_[sim::kNumMsgLayers];
   std::vector<Violation> violations_;
 };
 
 /// P7: streaming mirror of the network's quiescence books — last send
-/// time and number of post-crash sends per (layer, target).
+/// time and number of post-crash sends per (layer, target), indexed by
+/// target id.
 class QuiescenceMonitor final {
  public:
   void on_send(sim::MsgLayer layer, sim::ProcessId to, sim::Time at, bool target_crashed);
@@ -146,7 +214,9 @@ class QuiescenceMonitor final {
     sim::Time last_send = -1;
     std::uint64_t after_crash = 0;
   };
-  std::map<sim::ProcessId, PerTarget> per_target_[sim::kNumMsgLayers];
+  [[nodiscard]] const PerTarget* find(sim::ProcessId target, sim::MsgLayer layer) const;
+
+  std::vector<PerTarget> per_target_[sim::kNumMsgLayers];
 };
 
 /// One object wearing all three observer hats, fanning out to the four

@@ -1,7 +1,6 @@
 #include "rt/log_io.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace ekbd::rt {
 
@@ -182,15 +181,18 @@ Recording merge_recordings(
 // -- rebuild ---------------------------------------------------------------
 
 void apply_event(const sim::LoggedEvent& ev, sim::Network& net,
-                 std::set<sim::ProcessId>& crashed) {
+                 std::vector<std::uint8_t>& crashed) {
   switch (ev.kind) {
     case sim::LoggedEvent::Kind::kSend:
-    case sim::LoggedEvent::Kind::kDuplicate:
+    case sim::LoggedEvent::Kind::kDuplicate: {
       // Books the send on the pair/target ledgers and fires the attached
       // NetworkWatch (on_send + high-water) — identical to how the live
       // single-mutex recorder booked it.
-      net.logical_sent(ev.from, ev.to, ev.layer, ev.at, crashed.count(ev.to) != 0);
+      const auto to = static_cast<std::size_t>(ev.to);
+      const bool to_crashed = ev.to >= 0 && to < crashed.size() && crashed[to] != 0;
+      net.logical_sent(ev.from, ev.to, ev.layer, ev.at, to_crashed);
       break;
+    }
     case sim::LoggedEvent::Kind::kDeliver:
     case sim::LoggedEvent::Kind::kDrop:
     case sim::LoggedEvent::Kind::kLoss:
@@ -198,10 +200,16 @@ void apply_event(const sim::LoggedEvent& ev, sim::Network& net,
       net.logical_delivered(ev.from, ev.to, ev.layer);
       break;
     case sim::LoggedEvent::Kind::kCrash:
-      crashed.insert(ev.from);
+      if (ev.from >= 0) {
+        const auto p = static_cast<std::size_t>(ev.from);
+        if (p >= crashed.size()) crashed.resize(p + 1, 0);
+        crashed[p] = 1;
+      }
       break;
     case sim::LoggedEvent::Kind::kRecover:
-      crashed.erase(ev.from);
+      if (ev.from >= 0 && static_cast<std::size_t>(ev.from) < crashed.size()) {
+        crashed[static_cast<std::size_t>(ev.from)] = 0;
+      }
       break;
     case sim::LoggedEvent::Kind::kTimer:
       break;
@@ -211,7 +219,7 @@ void apply_event(const sim::LoggedEvent& ev, sim::Network& net,
 void rebuild(const Recording& rec, obs::MonitorHub& hub, sim::Network& net,
              dining::Trace& trace, sim::EventLog* log) {
   net.set_watch(&hub);
-  std::set<sim::ProcessId> crashed;
+  std::vector<std::uint8_t> crashed;
   for (const auto& ev : rec.events) {
     if (log != nullptr) log->append(ev);
     hub.on_event(ev);
@@ -222,34 +230,6 @@ void rebuild(const Recording& rec, obs::MonitorHub& hub, sim::Network& net,
   trace.set_observer(nullptr);
   if (rec.end_time >= 0) trace.set_end_time(rec.end_time);
   net.set_watch(nullptr);
-}
-
-// -- segment merging -------------------------------------------------------
-
-std::size_t merge_segments(std::vector<SegmentPool>& pools, std::int64_t horizon,
-                           const std::function<void(const SegmentRecord&)>& apply) {
-  std::size_t merged = 0;
-  for (;;) {
-    std::size_t best = pools.size();
-    for (std::size_t i = 0; i < pools.size(); ++i) {
-      const SegmentPool& pool = pools[i];
-      if (pool.head >= pool.recs.size()) continue;
-      const SegmentRecord& r = pool.recs[pool.head];
-      if (r.key > horizon) continue;  // pools are key-sorted: the rest waits too
-      if (best == pools.size()) {
-        best = i;
-        continue;
-      }
-      const SegmentRecord& b = pools[best].recs[pools[best].head];
-      if (r.key < b.key || (r.key == b.key && r.merge_class() < b.merge_class())) best = i;
-    }
-    if (best == pools.size()) break;
-    SegmentPool& win = pools[best];
-    apply(win.recs[win.head]);
-    ++win.head;
-    ++merged;
-  }
-  return merged;
 }
 
 }  // namespace ekbd::rt

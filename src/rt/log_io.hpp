@@ -27,9 +27,8 @@
 /// its own obituary.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,11 +110,12 @@ void rebuild(const Recording& rec, obs::MonitorHub& hub, sim::Network& net,
 /// the live single-mutex recorder) does: sends and injected duplicates
 /// book through `logical_sent` — firing the attached NetworkWatch —
 /// deliveries/drops/losses settle through `logical_delivered`, and a
-/// crash updates `crashed`, the set from which every later send's
-/// target-crashed flag is re-derived. This is the shared per-event step
-/// of the offline rebuild and the streaming recorder's collector.
+/// crash or recovery flips `crashed[p]`, the per-process flags (indexed
+/// by id, grown on demand) from which every later send's target-crashed
+/// flag is re-derived. This is the shared per-event step of the offline
+/// rebuild and the streaming recorder's collector.
 void apply_event(const sim::LoggedEvent& ev, sim::Network& net,
-                 std::set<sim::ProcessId>& crashed);
+                 std::vector<std::uint8_t>& crashed);
 
 /// One segment's pending records: drained from a `RecorderSegment` but
 /// not yet merged; `head` is the merge cursor. Records within a pool are
@@ -130,7 +130,32 @@ struct SegmentPool {
 /// advancing the pool cursors; returns how many records were consumed.
 /// The streaming collector calls this once per window with the min
 /// worker watermark as the horizon; the final drain passes INT64_MAX.
+/// A template so the per-record call inlines into the collector.
+template <typename Apply>
 std::size_t merge_segments(std::vector<SegmentPool>& pools, std::int64_t horizon,
-                           const std::function<void(const SegmentRecord&)>& apply);
+                           Apply&& apply) {
+  std::size_t merged = 0;
+  for (;;) {
+    std::size_t best = pools.size();
+    for (std::size_t i = 0; i < pools.size(); ++i) {
+      const SegmentPool& pool = pools[i];
+      if (pool.head >= pool.recs.size()) continue;
+      const SegmentRecord& r = pool.recs[pool.head];
+      if (r.key > horizon) continue;  // pools are key-sorted: the rest waits too
+      if (best == pools.size()) {
+        best = i;
+        continue;
+      }
+      const SegmentRecord& b = pools[best].recs[pools[best].head];
+      if (r.key < b.key || (r.key == b.key && r.merge_class() < b.merge_class())) best = i;
+    }
+    if (best == pools.size()) break;
+    SegmentPool& win = pools[best];
+    apply(win.recs[win.head]);
+    ++win.head;
+    ++merged;
+  }
+  return merged;
+}
 
 }  // namespace ekbd::rt

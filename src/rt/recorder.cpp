@@ -4,21 +4,19 @@
 #include <chrono>
 #include <limits>
 
+#include "rt/clock.hpp"
 #include "rt/log_io.hpp"
 
 namespace ekbd::rt {
 
 namespace {
 
-/// Nanosecond merge key: a raw steady_clock reading. One monotonic
-/// coordinate for the whole process, so a causally ordered pair (a send
-/// and the delivery it enables) reads nondecreasing keys on any pair of
-/// threads; exact ties are broken by SegmentRecord::merge_class.
-std::int64_t now_key() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Nanosecond merge key: the calling thread's steady_clock reading —
+/// cached on a worker, fresh elsewhere (clock.hpp). segment.hpp argues why
+/// a causally ordered pair (a send and the delivery it enables) still
+/// reads nondecreasing keys on any pair of threads; exact ties are broken
+/// by SegmentRecord::merge_class.
+std::int64_t now_key() { return TickClock::thread_now_ns(); }
 
 /// Per-thread segment binding, validated against (recorder, stream
 /// generation) so a binding never leaks across recorders or across

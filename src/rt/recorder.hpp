@@ -63,7 +63,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -361,8 +360,9 @@ class Recorder {
   void stream_event(const sim::LoggedEvent& ev);
   void stream_trace(sim::ProcessId p, sim::Time now, dining::TraceEventKind kind,
                     sim::ProcessId peer);
-  /// Clamp a raw steady_clock key monotonic within `seg` (and up to the
-  /// collector's floor) under `seg.mu`; advances `seg.last_key`.
+  /// Clamp a key (the thread's steady_clock reading) monotonic within
+  /// `seg` (and up to the collector's floor) under `seg.mu`; advances
+  /// `seg.last_key`.
   std::int64_t clamp_key_locked(RecorderSegment& seg, std::int64_t raw);
   /// Push under `seg.mu`: stamps the key, respects shedding, counts drops.
   void push_locked(RecorderSegment& seg, SegmentRecord& rec, std::int64_t key);
@@ -397,7 +397,7 @@ class Recorder {
   // Collector-owned (only the collector thread — or end_stream's final
   // drain, after the join — touches these).
   std::vector<SegmentPool> pools_;
-  std::set<sim::ProcessId> crashed_seen_;
+  std::vector<std::uint8_t> crashed_seen_;  ///< per-process flags (log_io apply_event)
   sim::Time merged_tick_ = 0;  ///< monotonic clamp on merged tick stamps
 
   mutable std::mutex stats_mu_;

@@ -367,6 +367,8 @@ void Runtime::do_recover(ActorCell& cell, sim::Actor& a, sim::ProcessId p) {
   for (;;) {
     const std::size_t n = cell.mailbox->pop_n(buf, kMaxDrainBurst);
     if (n == 0) break;
+    // Refresh point 3: the drops' merge keys must not precede their sends.
+    TickClock::refresh();
     for (std::size_t i = 0; i < n; ++i) rec_.on_deliver(buf[i], t, /*target_crashed=*/true);
   }
   cell.recover_at = -1;
@@ -491,6 +493,9 @@ bool Runtime::try_run_from(Shard& s, Counters* c, bool stolen) {
 }
 
 void Runtime::dispatch_run(std::uint32_t idx, Counters* c) {
+  // Refresh point 2: this reading follows the claim, hence the previous
+  // owner's release, so the actor's records stay in order across shards.
+  TickClock::refresh();
   ActorCell& cell = *cells_[idx];
   sim::Actor& a = *actors_[idx];
   const auto p = static_cast<sim::ProcessId>(idx);
@@ -550,6 +555,9 @@ void Runtime::dispatch_run(std::uint32_t idx, Counters* c) {
 
     const auto want = std::min(burst, static_cast<std::size_t>(std::max(budget, 1)));
     const std::size_t n = cell.mailbox->pop_n(buf, want);
+    // Refresh point 3: taken after the pop, so every delivery in the burst
+    // reads no earlier than the reading its send took.
+    if (n != 0) TickClock::refresh();
     for (std::size_t i = 0; i < n; ++i) {
       rec_.on_deliver(buf[i], clock_.now_ticks(), dead);
       if (!dead) {
@@ -610,10 +618,14 @@ void Runtime::park(Shard& s, Counters* c) {
   // A due registry deadline must end the idle path immediately: on an
   // oversubscribed box a single yield can cost a full scheduling quantum,
   // so an unconditional spin would hold the shard's timers hostage for
-  // tens of milliseconds while nothing else can make progress.
+  // tens of milliseconds while nothing else can make progress. Refresh
+  // point 4: every probe that consults the clock re-reads it first, or an
+  // idling worker would never see its deadline arrive.
   const auto deadline_due = [&]() {
     const sim::Time nd = s.next_deadline.load(std::memory_order_relaxed);
-    return nd >= 0 && nd <= clock_.now_ticks();
+    if (nd < 0) return false;
+    TickClock::refresh();
+    return nd <= clock_.now_ticks();
   };
 
   // Brief spin first: most wakeups arrive within microseconds.
@@ -629,7 +641,10 @@ void Runtime::park(Shard& s, Counters* c) {
   // The cap doubles as the helping latency bound: within one cap every
   // worker re-scans the OTHER shards' queues and registries, so a stalled
   // shard's announced work waits at most park_cap_ns for a helper.
-  auto deadline = TickClock::WallClock::now() + std::chrono::nanoseconds(opt_.park_cap_ns);
+  TickClock::refresh();
+  auto deadline =
+      TickClock::WallClock::time_point(std::chrono::nanoseconds(TickClock::thread_now_ns())) +
+      std::chrono::nanoseconds(opt_.park_cap_ns);
   const sim::Time nd = s.next_deadline.load(std::memory_order_seq_cst);
   if (nd >= 0) {
     if (nd <= clock_.now_ticks()) return;  // went due during the spin
@@ -650,6 +665,7 @@ void Runtime::park(Shard& s, Counters* c) {
   if (c != nullptr) ++c->parks;
   s.park_cv.wait_until(lock, deadline);
   s.sleeping.store(false, std::memory_order_relaxed);
+  TickClock::refresh();
 }
 
 void Runtime::worker_loop(std::size_t shard_index) {
@@ -663,6 +679,9 @@ void Runtime::worker_loop(std::size_t shard_index) {
   // least once per park cap).
   const bool streaming = rec_.streaming();
   if (streaming) rec_.bind_segment(shard_index);
+  // Every clock consumer on this thread now reads the cached reading the
+  // four refresh points keep current (clock.hpp).
+  TickClock::enter_worker();
 
   // Victim-scan window: probing EVERY other shard per idle round would be
   // O(shards²) across the fleet — ruinous at shards == n (the
@@ -676,6 +695,7 @@ void Runtime::worker_loop(std::size_t shard_index) {
   std::size_t scan_offset = 0;
 
   while (!stop_.load(std::memory_order_acquire)) {
+    TickClock::refresh();  // refresh point 1
     if (streaming) rec_.heartbeat();
     drain_due_timers(s, /*try_only=*/false);
     if (try_run_from(s, c, /*stolen=*/false)) continue;
@@ -701,6 +721,7 @@ void Runtime::worker_loop(std::size_t shard_index) {
     if (progressed) continue;
     park(s, c);
   }
+  TickClock::leave_worker();
   tls_shard = -1;
 }
 

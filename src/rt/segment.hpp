@@ -13,17 +13,34 @@
 /// Tick stamps (100 µs by default) are far too coarse to order a merge:
 /// a send and its delivery routinely land on the same tick, and a merge
 /// that put the delivery first would corrupt the network books. Each
-/// record therefore carries a nanosecond `key` — a raw steady_clock
-/// reading taken at append time, clamped monotonic within the segment —
-/// used ONLY for merging; the event itself keeps its tick stamp. Because
-/// steady_clock is one monotonic coordinate for the whole process, a
-/// causally ordered pair (the send happens-before the delivery through
-/// the mailbox) always satisfies key_send <= key_deliver; exact ties are
-/// broken by kind class (sends before effects), so the merged stream is
-/// always well-formed. Residual sub-tick skew between the caller's tick
-/// reading and the recorder's key reading is absorbed by a final
-/// monotonic clamp on the merged tick stamps — the same clamp the
-/// single-mutex recorder applied, moved to the merge point.
+/// record therefore carries a nanosecond `key` — the appending thread's
+/// steady_clock reading, clamped monotonic within the segment — used ONLY
+/// for merging; the event itself keeps its tick stamp. A worker thread
+/// does not read the clock per record: it serves the reading it cached at
+/// its last refresh point (clock.hpp) — the top of each worker-loop
+/// iteration, the entry to each dispatch run (right after the claim),
+/// after every non-empty mailbox `pop_n`, and every idle probe in park().
+/// Other threads read the clock fresh. Causal order survives because each
+/// refresh point follows the event whose effects it keys, in the
+/// happens-before sense of logical clocks (Aspnes, PAPERS.md), and
+/// steady_clock is one monotonic coordinate for the whole process:
+///
+///  * A delivery is keyed by a reading taken after its message was
+///    popped; the pop follows the push, which follows the send's append,
+///    whose reading was taken earlier still. So key_send <= key_deliver
+///    on any pair of threads.
+///  * A dispatch run is keyed by a reading taken after its claim, which
+///    follows the previous owner's release, which follows every record
+///    that owner appended for the actor. So one actor's records never
+///    reorder when it migrates between shards.
+///  * A thread's cached readings never decrease, so per-segment keys and
+///    the watermarks published from them stay monotone.
+///
+/// Exact ties are broken by kind class (sends before effects), so the
+/// merged stream is always well-formed. Residual sub-tick skew between a
+/// tick stamp and its key is absorbed by a final monotonic clamp on the
+/// merged tick stamps — the same clamp the single-mutex recorder applied,
+/// moved to the merge point.
 ///
 /// ## Watermarks
 ///
@@ -55,10 +72,15 @@ namespace ekbd::rt {
 struct SegmentRecord {
   enum class Type : std::uint8_t { kEvent, kTrace };
 
-  std::int64_t key = 0;  ///< steady_clock ns, per-segment monotonic
+  SegmentRecord() : event{} {}
+
+  std::int64_t key = 0;  ///< steady_clock ns (thread's reading), per-segment monotonic
   Type type = Type::kEvent;
-  sim::LoggedEvent event{};
-  dining::TraceEvent trace{};
+  /// The record itself; `type` says which member is live.
+  union {
+    sim::LoggedEvent event;
+    dining::TraceEvent trace;
+  };
 
   /// Merge class at equal keys: sends (and injected duplicates) order
   /// before every other record so a same-key delivery can never overtake

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/json.hpp"
@@ -13,10 +14,17 @@ using ekbd::dining::Diner;
 using ekbd::load::ChurnOp;
 
 LoadScenario::LoadScenario(LoadConfig cfg) : cfg_(std::move(cfg)), overload_(cfg_.overload) {
-  assert(cfg_.base.algorithm == Algorithm::kWaitFree &&
-         "churn/rejoin are Algorithm-1 extensions; baselines have no edge handshake");
-  assert(cfg_.base.engine != Engine::kProc &&
-         "kProc: load harness pending the multi-process churn transport (ROADMAP)");
+  // Checked in every build type: a baseline would run without the edge
+  // handshake churn and rejoin rely on, kProc without a churn transport.
+  if (cfg_.base.algorithm != Algorithm::kWaitFree) {
+    throw std::invalid_argument(
+        "LoadScenario: churn/rejoin are Algorithm-1 extensions; baselines have no edge "
+        "handshake");
+  }
+  if (cfg_.base.engine == Engine::kProc) {
+    throw std::invalid_argument(
+        "LoadScenario: kProc needs the multi-process churn transport (not built yet)");
+  }
   cfg_.base.observability = true;  // latency percentiles ride the obs histograms
   for (const RecoverySpec& r : cfg_.recoveries) {
     cfg_.base.crashes.emplace_back(r.p, r.crash_at);

@@ -28,7 +28,7 @@
 /// Engines: kSim and kRt (kProc pending the multi-process churn
 /// transport — see ROADMAP). The algorithm must be kWaitFree: churn and
 /// rejoin are Algorithm-1 extensions; the baselines have no edge
-/// handshake.
+/// handshake. Either violation throws std::invalid_argument.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,7 @@
 #include "scenario/rt_scenario.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/json.hpp"
@@ -8,15 +9,31 @@
 
 namespace ekbd::scenario {
 
+namespace {
+
+/// Checked in every build type, before anything is built: each of these
+/// would otherwise run a different experiment than the Config describes.
+Config validated(Config cfg) {
+  if (cfg.engine != Engine::kRt) {
+    throw std::invalid_argument("RtScenario: engine must be kRt (kSim: use Scenario)");
+  }
+  if (cfg.net_mode == NetMode::kLossyPartition) {
+    throw std::invalid_argument(
+        "RtScenario: partitions need the multi-process transport (kProc)");
+  }
+  if (cfg.detector == DetectorKind::kScripted) {
+    throw std::invalid_argument(
+        "RtScenario: the scripted detector is sim-only (virtual time); use heartbeat");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 RtScenario::RtScenario(Config cfg)
-    : cfg_(std::move(cfg)),
+    : cfg_(validated(std::move(cfg))),
       graph_(build_conflict_graph(cfg_)),
       colors_(ekbd::graph::welsh_powell_coloring(graph_)) {
-  assert(cfg_.engine == Engine::kRt && "engine == kSim: use Scenario");
-  assert(cfg_.net_mode != NetMode::kLossyPartition &&
-         "rt engine: partitions need the multi-process transport (ROADMAP)");
-  assert(cfg_.detector != DetectorKind::kScripted &&
-         "scripted detector is sim-only (virtual time); use heartbeat for rt runs");
 
   // -- observability ------------------------------------------------------
   if (cfg_.observability) {
@@ -79,10 +96,7 @@ RtScenario::RtScenario(Config cfg)
       break;
     }
     case DetectorKind::kScripted:
-      // Unreachable (asserted above); fall back to never-suspect so a
-      // release build still runs something sane.
-      owned_detector_ = std::make_unique<ekbd::fd::NeverSuspect>();
-      break;
+      break;  // rejected by validated()
   }
   detector_ = owned_detector_.get();
 

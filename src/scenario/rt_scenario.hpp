@@ -13,7 +13,8 @@
 ///  * detector kinds — kNever, kPerfect (an oracle over the runtime's
 ///    crash flags), kHeartbeat / kPingPong / kAccrual (real modules over
 ///    real timers). kScripted is sim-only (it is written against virtual
-///    time) and asserts;
+///    time): std::invalid_argument, as for engine kSim and net_mode
+///    kLossyPartition;
 ///  * net_mode kLossy — seed-deterministic drop/dup coins on the
 ///    *detector* layer (`link_faults.drop_prob` / `dup_prob`); the dining
 ///    layer keeps the reliable in-process channels, matching the paper's

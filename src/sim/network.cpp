@@ -29,13 +29,20 @@ std::uint64_t Network::logical_sent(ProcessId from, ProcessId to, MsgLayer layer
                                     bool target_crashed) {
   const int li = layer_index(layer);
   ++totals_[li];
-  ChannelStats& cs = pair_stats_[li][pair_key(from, to)];
+  // The same cached book pointers stamp() uses: one indexed load for dense
+  // ids, one spill-map lookup past kDenseLimit.
+  DirState& d = dir_state(from, to);
+  if (d.stats[li] == nullptr) {
+    d.stats[li] = &pair_stats_[li][pair_key(from, to)];
+    d.target[li] = &per_target_[li][to];
+  }
+  ChannelStats& cs = *d.stats[li];
   ++cs.total;
   ++cs.in_transit;
   const bool high = cs.in_transit > cs.max_in_transit;
   if (high) cs.max_in_transit = cs.in_transit;
 
-  PerTarget& pt = per_target_[li][to];
+  PerTarget& pt = *d.target[li];
   pt.last_send = now;
   if (target_crashed) ++pt.after_crash;
 
@@ -48,6 +55,13 @@ std::uint64_t Network::logical_sent(ProcessId from, ProcessId to, MsgLayer layer
 
 void Network::logical_delivered(ProcessId from, ProcessId to, MsgLayer layer) {
   const int li = layer_index(layer);
+  const DirState* d = find_dir_state(from, to);
+  if (d != nullptr && d->stats[li] != nullptr) {
+    --d->stats[li]->in_transit;
+    return;
+  }
+  // Nothing was ever sent this way on `layer`: the pair's books exist only
+  // if the reverse direction sent (a settle with no matching send).
   auto it = pair_stats_[li].find(pair_key(from, to));
   if (it != pair_stats_[li].end()) --it->second.in_transit;
 }

@@ -169,8 +169,9 @@ class Network {
   /// Hot-path lookup of the directed-channel state. The simulator numbers
   /// processes densely (0, 1, 2, ...), so for every realistic run the
   /// state lives in a flat stride×stride array — one indexed load, no
-  /// hashing, no node chase. Ids beyond kDenseLimit (none exist today)
-  /// fall back to the hash map so correctness never depends on the cap.
+  /// hashing, no node chase. Ids beyond kDenseLimit (the 10⁵-actor rt
+  /// runs) fall back to the hash map so correctness never depends on the
+  /// cap. The logical_* books share the same cache.
   DirState& dir_state(ProcessId from, ProcessId to);
   [[nodiscard]] const DirState* find_dir_state(ProcessId from, ProcessId to) const;
   void grow_dense(int need);

@@ -19,6 +19,13 @@ namespace {
                               ", before now=" + std::to_string(now));
 }
 
+/// Checked in every build type: each execution mode has its own entry points,
+/// and the other mode's would run events it must never see (a controlled
+/// world's timed heap holds `schedule_crash` records that never fire).
+[[noreturn]] void reject_mode(const char* what) {
+  throw std::logic_error(std::string("sim: ") + what);
+}
+
 }  // namespace
 
 // -------------------------------------------------- TransportIface glue --
@@ -558,7 +565,9 @@ void Simulator::crash(ProcessId p) {
 }
 
 void Simulator::recover(ProcessId p) {
-  assert(mode_ == ExecMode::kTimed && "recovery is a timed-mode feature");
+  if (mode_ != ExecMode::kTimed) [[unlikely]] {
+    reject_mode("recover() is a timed-mode feature");
+  }
   auto idx = static_cast<std::size_t>(p);
   if (crash_times_[idx] < 0) return;  // live: nothing to do
   // The dead incarnation's pending timers must never fire into the new one
@@ -604,7 +613,9 @@ std::vector<ProcessId> Simulator::live_processes() const {
 }
 
 std::vector<PendingEvent> Simulator::eligible_events() const {
-  assert(mode_ == ExecMode::kControlled);
+  if (mode_ != ExecMode::kControlled) [[unlikely]] {
+    reject_mode("eligible_events() needs controlled mode");
+  }
   std::vector<PendingEvent> out;
   out.reserve(pending_count_);
   for (std::uint32_t slot = pending_head_; slot != kNoSlot; slot = pending_[slot].next) {
@@ -663,7 +674,9 @@ void Simulator::controlled_state_key(std::vector<std::uint64_t>& out) const {
 }
 
 bool Simulator::execute_event(std::uint64_t id) {
-  assert(mode_ == ExecMode::kControlled);
+  if (mode_ != ExecMode::kControlled) [[unlikely]] {
+    reject_mode("execute_event() needs controlled mode");
+  }
   start();
   const std::uint32_t slot = pending_slot(id);
   if (slot == kNoSlot || !is_eligible(slot)) return false;
@@ -796,7 +809,9 @@ void Simulator::pop_and_dispatch(std::uint32_t slot) {
 }
 
 bool Simulator::step() {
-  assert(mode_ == ExecMode::kTimed && "use execute_event in controlled mode");
+  if (mode_ != ExecMode::kTimed) [[unlikely]] {
+    reject_mode("step() on a controlled simulator: use execute_event");
+  }
   const std::uint32_t slot = prune_cancelled();
   if (slot == kNoSlot) return false;
   pop_and_dispatch(slot);
@@ -804,7 +819,9 @@ bool Simulator::step() {
 }
 
 void Simulator::run_until(Time t) {
-  assert(mode_ == ExecMode::kTimed && "drive controlled mode via execute_event");
+  if (mode_ != ExecMode::kTimed) [[unlikely]] {
+    reject_mode("run_until() on a controlled simulator: use execute_event");
+  }
   start();
   for (;;) {
     // Prune before the horizon check: a cancelled record at the front must

@@ -126,13 +126,14 @@ class Simulator final : public TransportIface {
   void start();
 
   /// Run all events with timestamp <= t; afterwards now() == t.
+  /// (kTimed mode only: std::logic_error in controlled mode.)
   void run_until(Time t);
 
   /// Run for `d` more ticks of virtual time.
   void run_for(Time d) { run_until(now_ + d); }
 
   /// Execute the single earliest pending event. Returns false if idle.
-  /// (kTimed mode only.)
+  /// (kTimed mode only: std::logic_error in controlled mode.)
   bool step();
 
   /// True if no events are pending.
@@ -148,11 +149,13 @@ class Simulator final : public TransportIface {
   /// Pending events that may legally fire next: every timer and scheduled
   /// callback, plus — per directed channel — only the oldest in-flight
   /// message (reliable FIFO channels). Stable order (by event id).
+  /// (kControlled mode only: std::logic_error in timed mode.)
   [[nodiscard]] std::vector<PendingEvent> eligible_events() const;
 
   /// Fire the pending event with this id (must be eligible). Advances
   /// virtual time by one tick. Returns false if the id is unknown or not
-  /// currently eligible.
+  /// currently eligible. (kControlled mode only: std::logic_error in timed
+  /// mode.)
   bool execute_event(std::uint64_t id);
 
   /// Append the simulator's contribution to a *semantic* state
@@ -270,7 +273,8 @@ class Simulator final : public TransportIface {
   /// incarnation keeps the actor object's local state; the dead one's
   /// pending timers are cancelled and every message sent to `p` before
   /// this instant is dropped at delivery (recovery fences the inbound
-  /// channels). Fires `Actor::on_recover`.
+  /// channels). Fires `Actor::on_recover`. std::logic_error in controlled
+  /// mode.
   void recover(ProcessId p);
 
   /// Recover `p` at absolute time `at` (>= now(), else

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -334,6 +335,20 @@ LoadConfig sim_load_config(std::uint64_t seed, std::size_t n, Time run_for) {
   lc.base.detector = DetectorKind::kPerfect;
   lc.base.run_for = run_for;
   return lc;
+}
+
+// The harness's contracts hold in every build type: churn and rejoin are
+// Algorithm-1 extensions, and kProc has no churn transport.
+TEST(LoadScenarioContract, RejectsBaselineAlgorithm) {
+  LoadConfig lc = sim_load_config(3, 4, 1'000);
+  lc.base.algorithm = Algorithm::kChandyMisra;
+  EXPECT_THROW(ekbd::scenario::LoadScenario{lc}, std::invalid_argument);
+}
+
+TEST(LoadScenarioContract, RejectsProcEngine) {
+  LoadConfig lc = sim_load_config(3, 4, 1'000);
+  lc.base.engine = ekbd::scenario::Engine::kProc;
+  EXPECT_THROW(ekbd::scenario::LoadScenario{lc}, std::invalid_argument);
 }
 
 TEST(LoadScenarioSim, ModerateOpenLoopKeepsUp) {

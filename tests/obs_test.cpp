@@ -10,7 +10,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dining/checkers.hpp"
@@ -19,9 +22,12 @@
 #include "obs/monitors.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/telemetry.hpp"
+#include "rt/log_io.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
 #include "sim/event_log.hpp"
+#include "sim/network.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -614,6 +620,196 @@ TEST(Perfetto, ExportsSpansFlowsAndThreadNamesFromARealRun) {
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(nullptr, &s.trace())).has_value());
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(&log, nullptr)).has_value());
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(nullptr, nullptr)).has_value());
+}
+
+// ------------------------------------------- dense books vs the spill path
+
+// The collector's books index processes densely: Network::logical_* share
+// stamp()'s flat per-channel cache below kDenseLimit (512) and spill to a
+// hash map above it, and the monitors keep per-process vectors and a flat
+// edge table. E26's 10⁵-actor row lives above the limit. Driven with ids
+// on both sides through rt::apply_event (the collector's per-record step),
+// every book must match a reference built from std::map alone.
+TEST(DenseBooks, AgreeWithMapReferenceAcrossTheDenseLimit) {
+  using ekbd::sim::ProcessId;
+  using ekbd::sim::Time;
+  const std::vector<ProcessId> ids = {0,   1,   2,   7,    63,     200,    511,   512,
+                                      513, 600, 1024, 4096, 100000, 100001, 100007};
+  const auto n = static_cast<std::size_t>(ids.back()) + 1;
+  ekbd::graph::ConflictGraph g(n);
+  for (std::size_t i = 0; i + 1 < ids.size(); ++i) g.add_edge(ids[i], ids[i + 1]);
+  g.add_edge(ids.front(), ids.back());
+  std::vector<std::pair<ProcessId, ProcessId>> edges;
+  for (std::size_t i = 0; i + 1 < ids.size(); ++i) edges.emplace_back(ids[i], ids[i + 1]);
+  edges.emplace_back(ids.front(), ids.back());
+
+  // The reference: the same books, std::map only.
+  struct RefPair {
+    int in_transit = 0;
+    int max_in_transit = 0;
+    std::uint64_t total = 0;
+  };
+  struct RefTarget {
+    Time last_send = -1;
+    std::uint64_t after_crash = 0;
+  };
+  constexpr int kLayers = ekbd::sim::kNumMsgLayers;
+  std::map<std::pair<ProcessId, ProcessId>, RefPair> pairs[kLayers];
+  std::map<ProcessId, RefTarget> targets[kLayers];
+  std::map<std::pair<ProcessId, ProcessId>, int> forks;
+  std::set<ProcessId> crashed;
+  std::set<ProcessId> eating;
+  std::map<ProcessId, int> phase;  // 0 thinking, 1 hungry, 2 eating
+  std::string p1_lines;
+  const auto undirected = [](ProcessId a, ProcessId b) {
+    return std::make_pair(std::min(a, b), std::max(a, b));
+  };
+
+  ekbd::obs::MonitorHub hub(g);
+  ekbd::sim::Network net;
+  net.set_watch(&hub);
+  ekbd::dining::Trace trace;
+  trace.set_observer(&hub);
+  std::vector<std::uint8_t> crashed_flags;
+
+  struct InFlight {
+    ProcessId from;
+    ProcessId to;
+    MsgLayer layer;
+    ekbd::sim::PayloadTag tag;
+  };
+  std::vector<InFlight> flying;
+  const auto feed = [&](const LoggedEvent& ev) {
+    hub.on_event(ev);
+    ekbd::rt::apply_event(ev, net, crashed_flags);
+  };
+
+  ekbd::sim::Rng rng(4242);
+  const ekbd::sim::PayloadTag fork_tag = ekbd::sim::kPayloadTagOf<ekbd::core::Fork>;
+  const ekbd::sim::PayloadTag ping_tag = ekbd::sim::kPayloadTagOf<ekbd::core::Ping>;
+  for (Time t = 1; t <= 20'000; ++t) {
+    const std::uint64_t op = rng.u64() % 100;
+    if (op < 45) {  // send on a random edge, either direction
+      auto [a, b] = edges[rng.u64() % edges.size()];
+      if (rng.u64() % 2 == 0) std::swap(a, b);
+      const MsgLayer layer = rng.u64() % 2 == 0 ? MsgLayer::kDining : MsgLayer::kDetector;
+      const bool fork = layer == MsgLayer::kDining && rng.u64() % 3 == 0;
+      const auto tag = fork ? fork_tag : ping_tag;
+      feed(LoggedEvent{t, Kind::kSend, a, b, layer, static_cast<std::uint64_t>(t), tag});
+      flying.push_back({a, b, layer, tag});
+      const int li = static_cast<int>(layer);
+      RefPair& rp = pairs[li][undirected(a, b)];
+      ++rp.total;
+      rp.max_in_transit = std::max(rp.max_in_transit, ++rp.in_transit);
+      RefTarget& rt = targets[li][b];
+      rt.last_send = t;
+      if (crashed.count(b) != 0) ++rt.after_crash;
+      if (fork) {
+        const int f = ++forks[undirected(a, b)];
+        if (f > 1) {
+          char line[128];
+          std::snprintf(line, sizeof(line), "P1: %d forks in transit on p%d-p%d at t=%lld", f,
+                        a, b, static_cast<long long>(t));
+          if (!p1_lines.empty()) p1_lines += '\n';
+          p1_lines += line;
+        }
+      }
+    } else if (op < 85) {  // settle a random in-flight message
+      if (flying.empty()) continue;
+      const std::size_t i = rng.u64() % flying.size();
+      const InFlight m = flying[i];
+      flying[i] = flying.back();
+      flying.pop_back();
+      const Kind kinds[] = {Kind::kDeliver, Kind::kDrop, Kind::kLoss, Kind::kPartitionLoss};
+      feed(LoggedEvent{t, kinds[rng.u64() % 4], m.from, m.to, m.layer, 0, m.tag});
+      --pairs[static_cast<int>(m.layer)][undirected(m.from, m.to)].in_transit;
+      if (m.tag == fork_tag) --forks[undirected(m.from, m.to)];
+    } else if (op < 90) {  // crash
+      const ProcessId p = ids[rng.u64() % ids.size()];
+      feed(LoggedEvent{t, Kind::kCrash, p, ekbd::sim::kNoProcess, MsgLayer::kOther, 0,
+                       ekbd::sim::kNoPayloadTag});
+      crashed.insert(p);
+    } else if (op < 93) {  // recover
+      const ProcessId p = ids[rng.u64() % ids.size()];
+      feed(LoggedEvent{t, Kind::kRecover, p, ekbd::sim::kNoProcess, MsgLayer::kOther, 0,
+                       ekbd::sim::kNoPayloadTag});
+      crashed.erase(p);
+    } else {  // one scheduling step of a random process
+      const ProcessId p = ids[rng.u64() % ids.size()];
+      int& ph = phase[p];
+      const ekbd::dining::TraceEventKind kinds[] = {
+          ekbd::dining::TraceEventKind::kBecameHungry,
+          ekbd::dining::TraceEventKind::kStartEating,
+          ekbd::dining::TraceEventKind::kStopEating};
+      trace.record(t, p, kinds[ph]);
+      if (ph == 1) eating.insert(p);
+      if (ph == 2) eating.erase(p);
+      ph = (ph + 1) % 3;
+      ASSERT_EQ(hub.exclusion().eating_now(), eating.size()) << "t=" << t;
+    }
+  }
+
+  // A settle in a direction that never carried a send on its layer: only
+  // the undirected pair's books (filled from the reverse direction) can
+  // absorb it. One pair on each side of the limit.
+  std::vector<ProcessId> checked = ids;
+  for (const auto& [a, b] : {std::make_pair(3, 700), std::make_pair(100003, 100005)}) {
+    checked.push_back(a);
+    checked.push_back(b);
+    const int li = static_cast<int>(MsgLayer::kDetector);
+    for (const Time t : {Time{20'001}, Time{20'002}}) {
+      feed(LoggedEvent{t, Kind::kSend, a, b, MsgLayer::kDetector, 0, ping_tag});
+      RefPair& rp = pairs[li][undirected(a, b)];
+      ++rp.total;
+      rp.max_in_transit = std::max(rp.max_in_transit, ++rp.in_transit);
+      RefTarget& rt = targets[li][b];
+      rt.last_send = t;
+      if (crashed.count(b) != 0) ++rt.after_crash;
+    }
+    feed(LoggedEvent{20'003, Kind::kDeliver, b, a, MsgLayer::kDetector, 0, ping_tag});
+    --pairs[li][undirected(a, b)].in_transit;
+  }
+
+  for (int li = 0; li < kLayers; ++li) {
+    const auto layer = static_cast<MsgLayer>(li);
+    SCOPED_TRACE(li);
+    int ref_max = 0;
+    for (const ProcessId a : checked) {
+      for (const ProcessId b : checked) {
+        const auto it = pairs[li].find(undirected(a, b));
+        const RefPair rp = it == pairs[li].end() ? RefPair{} : it->second;
+        ref_max = std::max(ref_max, rp.max_in_transit);
+        const ekbd::sim::ChannelStats cs = net.channel(a, b, layer);
+        EXPECT_EQ(cs.in_transit, rp.in_transit) << a << "-" << b;
+        EXPECT_EQ(cs.max_in_transit, rp.max_in_transit) << a << "-" << b;
+        EXPECT_EQ(cs.total, rp.total) << a << "-" << b;
+        EXPECT_EQ(hub.channels().max_in_transit(layer, a, b), rp.max_in_transit);
+        if (li == 0) {
+          const auto f = forks.find(undirected(a, b));
+          EXPECT_EQ(hub.forks().in_transit(a, b), f == forks.end() ? 0 : f->second);
+        }
+      }
+      const auto it = targets[li].find(a);
+      const RefTarget rt = it == targets[li].end() ? RefTarget{} : it->second;
+      EXPECT_EQ(net.last_send_to(a, layer), rt.last_send) << "p" << a;
+      EXPECT_EQ(net.sends_to_crashed(a, layer), rt.after_crash) << "p" << a;
+      EXPECT_EQ(hub.quiescence().last_send_to(a, layer), rt.last_send) << "p" << a;
+      EXPECT_EQ(hub.quiescence().sends_to_crashed(a, layer), rt.after_crash) << "p" << a;
+    }
+    EXPECT_EQ(net.max_in_transit_any(layer), ref_max);
+    EXPECT_EQ(hub.channels().max_in_transit_any(layer), ref_max);
+  }
+  EXPECT_GT(net.channel(100000, 100001, MsgLayer::kDining).total, 0u);
+  EXPECT_GT(net.sends_to_crashed(100007, MsgLayer::kDetector) +
+                net.sends_to_crashed(100001, MsgLayer::kDetector),
+            0u);
+  EXPECT_EQ(hub.exclusion().eating_now(), eating.size());
+  // Monitors and books agree everywhere; the only lines are P1's, which
+  // have no post-hoc counterpart (random forks do double up).
+  EXPECT_FALSE(p1_lines.empty());
+  EXPECT_EQ(hub.agreement_failures(trace, g, net), p1_lines);
+  trace.set_observer(nullptr);
+  net.set_watch(nullptr);
 }
 
 }  // namespace

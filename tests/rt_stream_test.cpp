@@ -156,6 +156,68 @@ TEST(RtStreamEquivalence, DirectModeHasNoStream) {
   expect_books_coherent(s, "direct");
 }
 
+// ------------------------------------------------- order under the cached clock
+
+/// Per-process scheduling order in the merged trace: every kStartEating
+/// follows that process's kBecameHungry, every kStopEating its
+/// kStartEating. A record keyed by a stale clock reading after its actor
+/// migrated shards would merge out of this order.
+void expect_sessions_in_order(const ekbd::dining::Trace& trace, std::size_t n) {
+  enum : std::uint8_t { kThinking, kHungry, kEating };
+  std::vector<std::uint8_t> state(n, kThinking);
+  for (const ekbd::dining::TraceEvent& ev : trace.events()) {
+    if (ev.process < 0 || static_cast<std::size_t>(ev.process) >= n) continue;
+    std::uint8_t& st = state[static_cast<std::size_t>(ev.process)];
+    switch (ev.kind) {
+      case ekbd::dining::TraceEventKind::kBecameHungry:
+        st = kHungry;
+        break;
+      case ekbd::dining::TraceEventKind::kStartEating:
+        EXPECT_EQ(st, kHungry) << "p" << ev.process << " started eating at t=" << ev.at
+                               << " without a preceding kBecameHungry";
+        st = kEating;
+        break;
+      case ekbd::dining::TraceEventKind::kStopEating:
+        EXPECT_EQ(st, kEating) << "p" << ev.process << " stopped eating at t=" << ev.at
+                               << " without a preceding kStartEating";
+        st = kThinking;
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+// Workers key their records with the clock reading cached at the last
+// refresh point (rt/clock.hpp). On 2 µs ticks with shards ∈ {2, 4, n}
+// actors migrate through steals and helps all the time; the merged books
+// must still form a linearization: sends before their deliveries, each
+// actor's records in its own order, monitors and replay in agreement.
+TEST(RtStreamOrder, CachedClockKeepsCausalOrderAcrossShards) {
+  constexpr std::size_t kN = 64;
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}, kN}) {
+    ekbd::scenario::Config cfg = stream_config(7010);
+    cfg.topology = "sparse";
+    cfg.n = kN;
+    cfg.detector = ekbd::scenario::DetectorKind::kPerfect;
+    cfg.rt_tick_ns = 2'000;
+    cfg.rt_shards = shards;
+    cfg.run_for = 50'000;  // 0.1 s wall
+    cfg.harness.think_lo = 1;
+    cfg.harness.think_hi = 4;
+    cfg.harness.eat_lo = 1;
+    cfg.harness.eat_hi = 3;
+    cfg.harness.first_hunger_hi = 4;
+    ekbd::scenario::RtScenario s(cfg);
+    s.run();
+    const std::string what = "shards=" + std::to_string(shards);
+    SCOPED_TRACE(what);
+    expect_log_well_formed(*s.event_log());
+    expect_books_coherent(s, what);
+    expect_sessions_in_order(s.trace(), kN);
+  }
+}
+
 // --------------------------------------------------------------- accounting
 
 // Uncapped streaming run: the collector's merged-event count must equal

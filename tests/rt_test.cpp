@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -655,6 +656,36 @@ TEST(RtShardTest, StalledShardDispatchesCompleteViaNeighbors) {
   const ekbd::rt::ExecutorStats st = rt.stats();
   EXPECT_GT(st.steals + st.helps + st.timer_helps, 0u)
       << "progress without any cross-shard claim: stealing/helping never engaged";
+}
+
+// -- RtScenario's contracts (every build type) -----------------------------
+
+ekbd::scenario::Config contract_config() {
+  ekbd::scenario::Config cfg;
+  cfg.engine = ekbd::scenario::Engine::kRt;
+  cfg.topology = "ring";
+  cfg.n = 4;
+  cfg.detector = ekbd::scenario::DetectorKind::kPerfect;
+  return cfg;
+}
+
+TEST(RtScenarioContract, RejectsSimEngine) {
+  ekbd::scenario::Config cfg = contract_config();
+  cfg.engine = ekbd::scenario::Engine::kSim;
+  EXPECT_THROW(ekbd::scenario::RtScenario{cfg}, std::invalid_argument);
+}
+
+TEST(RtScenarioContract, RejectsLossyPartition) {
+  ekbd::scenario::Config cfg = contract_config();
+  cfg.net_mode = ekbd::scenario::NetMode::kLossyPartition;
+  EXPECT_THROW(ekbd::scenario::RtScenario{cfg}, std::invalid_argument);
+}
+
+// Before the throw, a release build silently ran NeverSuspect instead.
+TEST(RtScenarioContract, RejectsScriptedDetector) {
+  ekbd::scenario::Config cfg = contract_config();
+  cfg.detector = ekbd::scenario::DetectorKind::kScripted;
+  EXPECT_THROW(ekbd::scenario::RtScenario{cfg}, std::invalid_argument);
 }
 
 }  // namespace

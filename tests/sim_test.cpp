@@ -758,4 +758,52 @@ TEST(SimQueue, RejectsSchedulingIntoThePast) {
   EXPECT_TRUE(mc.eligible_events().empty());
 }
 
+// -- execution-mode guards (every build type) -------------------------------
+
+// Each entry point belongs to one execution mode and rejects the other with
+// std::logic_error, in release builds too. A controlled world's timed heap
+// holds `schedule_crash` records that must never fire: before the guard
+// threw, run_until() here drained that heap and crashed p0 under NDEBUG.
+TEST(SimMode, ControlledRunUntilThrowsAndFiresNothing) {
+  Simulator sim(1, nullptr, ekbd::sim::ExecMode::kControlled);
+  auto* a = sim.make_actor<Recorder>();
+  sim.make_actor<Recorder>();
+  sim.schedule_crash(a->id(), 5);
+  EXPECT_THROW(sim.run_until(10), std::logic_error);
+  EXPECT_THROW(sim.run_for(10), std::logic_error);
+  EXPECT_FALSE(sim.crashed(a->id()));
+  EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(SimMode, ControlledStepThrows) {
+  Simulator sim(1, nullptr, ekbd::sim::ExecMode::kControlled);
+  auto* a = sim.make_actor<Recorder>();
+  sim.schedule_crash(a->id(), 0);
+  EXPECT_THROW(sim.step(), std::logic_error);
+  EXPECT_FALSE(sim.crashed(a->id()));
+}
+
+TEST(SimMode, ControlledRecoverThrows) {
+  Simulator sim(1, nullptr, ekbd::sim::ExecMode::kControlled);
+  auto* a = sim.make_actor<Recorder>();
+  sim.start();
+  sim.crash(a->id());
+  EXPECT_THROW(sim.recover(a->id()), std::logic_error);
+  EXPECT_TRUE(sim.crashed(a->id()));
+}
+
+TEST(SimMode, TimedRejectsControlledEntryPoints) {
+  Simulator sim(1, ekbd::sim::make_fixed_delay(3));
+  auto* a = sim.make_actor<Recorder>();
+  auto* b = sim.make_actor<Recorder>();
+  sim.start();
+  a->send(b->id(), Note{7}, MsgLayer::kOther);
+  EXPECT_THROW((void)sim.eligible_events(), std::logic_error);
+  EXPECT_THROW(sim.execute_event(0), std::logic_error);
+  // The timed queue is untouched: the message still arrives on schedule.
+  sim.run_until(3);
+  ASSERT_EQ(b->received.size(), 1u);
+  EXPECT_EQ(b->receive_times[0], 3);
+}
+
 }  // namespace
