@@ -28,6 +28,7 @@ void attach_simulator_metrics(sim::Simulator& sim, MetricsRegistry& reg) {
 void collect_event_log_metrics(const sim::EventLog& log, MetricsRegistry& reg) {
   reg.counter("log.events").value = log.size();
   reg.counter("log.dropped").value = log.dropped();
+  reg.counter("log.bytes").value = log.bytes();
 }
 
 void collect_network_metrics(const sim::Network& net, MetricsRegistry& reg) {

@@ -1,8 +1,9 @@
 #include "rt/recorder.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "rt/clock.hpp"
 #include "rt/log_io.hpp"
@@ -42,7 +43,9 @@ Recorder::~Recorder() { end_stream(); }
 // -- stream lifecycle -------------------------------------------------------
 
 void Recorder::begin_stream(const StreamOptions& opts) {
-  assert(!streaming_.load(std::memory_order_relaxed) && "stream already running");
+  if (streaming_.load(std::memory_order_relaxed)) {
+    throw std::logic_error("Recorder::begin_stream: stream already running");
+  }
   sopt_ = opts;
   ++stream_gen_;
   const std::size_t nseg = std::max<std::size_t>(1, opts.segments) + 1;  // + external
@@ -84,7 +87,10 @@ void Recorder::end_stream() {
 }
 
 void Recorder::bind_segment(std::size_t index) {
-  assert(index + 1 < segments_.size() && "bind_segment: not a worker segment");
+  if (index + 1 >= segments_.size()) {
+    throw std::logic_error("Recorder::bind_segment: " + std::to_string(index) +
+                           " is not a worker segment");
+  }
   tls_binding = TlsBinding{this, stream_gen_, index};
 }
 

@@ -120,13 +120,17 @@ class Recorder {
   /// Switch to segmented streaming: allocate segments, launch the
   /// collector. Call before the producing threads start (the runtime
   /// calls it just before launching workers); events recorded in direct
-  /// mode beforehand stay ahead of the merged stream.
+  /// mode beforehand stay ahead of the merged stream. Throws
+  /// std::logic_error while a stream is already running.
   void begin_stream(const StreamOptions& opts);
   /// Join the collector and drain every segment (no watermark horizon:
   /// all producers must have quiesced — the runtime calls this after
   /// joining its workers). Falls back to direct mode. Idempotent.
   void end_stream();
   /// Bind the calling thread to segment `index` for the current stream.
+  /// Throws std::logic_error unless `index` is below the worker-segment
+  /// count of the last stream begun (the external catch-all is not a
+  /// worker segment).
   void bind_segment(std::size_t index);
   /// Advance the calling thread's segment watermark to "now" without
   /// appending: an idle worker's promise that nothing earlier is coming,

@@ -1,6 +1,5 @@
 #include "scenario/rt_scenario.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <thread>
 
@@ -155,7 +154,7 @@ RtScenario::RtScenario(Config cfg)
 }
 
 void RtScenario::run() {
-  assert(!ran_);
+  if (ran_) throw std::logic_error("RtScenario::run: a scenario runs once");
   ran_ = true;
   if (cfg_.rt_telemetry_interval <= 0) {
     rt_->run_for(cfg_.run_for);
@@ -229,7 +228,8 @@ void RtScenario::snapshot_telemetry(Time at, std::FILE* out, bool final_snapshot
           ",\"dropped_windows\":" + std::to_string(ss.dropped_windows) + "}";
   if (final_snapshot && event_log_ != nullptr) {
     line += ",\"event_log\":{\"size\":" + std::to_string(event_log_->size()) +
-            ",\"dropped\":" + std::to_string(event_log_->dropped()) + "}";
+            ",\"dropped\":" + std::to_string(event_log_->dropped()) +
+            ",\"bytes\":" + std::to_string(event_log_->bytes()) + "}";
   }
   line += "}\n";
   std::fputs(line.c_str(), out);

@@ -42,7 +42,8 @@ class RtScenario {
  public:
   explicit RtScenario(Config cfg);
 
-  /// Run to the configured horizon (may be called once). Blocks for
+  /// Run to the configured horizon. A scenario runs once: a second call
+  /// throws std::logic_error. Blocks for
   /// run_for × rt_tick_ns wall nanoseconds. With `rt_telemetry_interval`
   /// set, the blocked wait becomes a snapshot loop: every interval ticks
   /// one JSONL line goes to `rt_telemetry_path` (if non-empty) and the

@@ -6,6 +6,7 @@
 //    controlled mode the model checker replays through (state keys
 //    included), and cancelled timers are discarded without advancing time
 //    or the events_processed counter.
+//    The EventLog's append allocates only per 64 KiB block, not per event.
 //  * SimQueue (here: its allocation pin) — a controlled-mode simulator
 //    builds no timing wheel; the rest of the suite is in sim_test.cpp.
 //  * SimDeterminism — per-actor RNG streams depend only on (master seed,
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "scenario/scenario.hpp"
+#include "sim/event_log.hpp"
 #include "sim/simulator.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -234,6 +236,38 @@ TEST(SimQueue, ControlledModeBuildsNoWheel) {
     sim.start();
   }
   EXPECT_EQ(g_new_calls.load(std::memory_order_relaxed), 15u);
+}
+
+TEST(SimHotPath, EventLogAllocatesOnlyPerBlock) {
+#ifdef EKBD_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes allocate behind the scenes";
+#endif
+  // An rt-shaped stream: send/deliver pairs on a ring of 256, one tick
+  // apart. Appending allocates only when a 64 KiB block opens or the block
+  // index grows, never per event.
+  constexpr int kPairs = 100'000;
+  g_new_calls.store(0, std::memory_order_relaxed);
+  ekbd::sim::EventLog log;
+  for (int i = 0; i < kPairs; ++i) {
+    ekbd::sim::LoggedEvent ev;
+    ev.at = i;
+    ev.from = i % 256;
+    ev.to = (i + 1) % 256;
+    ev.layer = MsgLayer::kDining;
+    ev.seq = static_cast<std::uint64_t>(i);
+    ev.payload = 1;
+    log.append(ev);
+    ev.kind = ekbd::sim::LoggedEvent::Kind::kDeliver;
+    log.append(ev);
+  }
+  const auto allocs = g_new_calls.load(std::memory_order_relaxed);
+  EXPECT_EQ(log.size(), 2u * kPairs);
+  // 7.5 bytes per event: header, tag, one-byte at and seq deltas, and
+  // two-byte ids.
+  EXPECT_EQ(log.bytes(), 1'499'906u);
+  // 23 blocks (1,499,906 bytes, a block closes when fewer than 34 bytes
+  // remain) + 6 growths of the block index (capacity 1, 2, 4, ..., 32).
+  EXPECT_EQ(allocs, 29u);
 }
 
 TEST(SimDeterminism, ActorRngIndependentOfFirstUseOrder) {

@@ -479,6 +479,8 @@ TEST(Telemetry, CollectorsSnapshotNetworkLogAndMcNumbers) {
   obs::collect_event_log_metrics(log, reg);
   EXPECT_EQ(reg.find_counter("log.events")->get(), log.size());
   EXPECT_EQ(reg.find_counter("log.dropped")->get(), log.dropped());
+  EXPECT_EQ(reg.find_counter("log.bytes")->get(), log.bytes());
+  EXPECT_GT(log.bytes(), 0u);
   EXPECT_GT(log.dropped(), 0u);  // cap 500 is far below a 20k-tick run
 
   obs::collect_mc_metrics(/*nodes_executed=*/1000, /*sleep_pruned=*/500,
@@ -620,6 +622,29 @@ TEST(Perfetto, ExportsSpansFlowsAndThreadNamesFromARealRun) {
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(nullptr, &s.trace())).has_value());
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(&log, nullptr)).has_value());
   EXPECT_TRUE(json::parse(obs::chrome_trace_json(nullptr, nullptr)).has_value());
+}
+
+// The export of a fixed sim run is pinned byte for byte. The pins were
+// taken while the EventLog still stored plain 40-byte events, so equality
+// shows the compact records decode every field the renderer reads.
+TEST(Perfetto, ChromeTraceOfAFixedRunIsByteStable) {
+  ekbd::scenario::Config cfg = observed_config(0x0B8);
+  cfg.run_for = 5'000;
+  cfg.crashes = {{1, 2'500}};
+  ekbd::scenario::Scenario s(cfg);
+  ekbd::sim::EventLog log;
+  s.sim().set_event_log(&log);
+  s.run();
+
+  const std::string text = obs::chrome_trace_json(&log, &s.trace());
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(log.size(), 1311u);
+  EXPECT_EQ(text.size(), 84412u);
+  EXPECT_EQ(h, 0x4BB243020CE8D2ACULL);
 }
 
 // ------------------------------------------- dense books vs the spill path

@@ -1,7 +1,7 @@
 // Tests for the segmented streaming recorder (src/rt/recorder.hpp,
 // rt/segment.hpp, rt/log_io merge_segments): mode/shard-count equivalence,
 // merged-book structural invariants, stream stats accounting, shedding,
-// and the live telemetry snapshot loop.
+// the live telemetry snapshot loop, and the stream lifecycle contracts.
 //
 // "Equivalence" here is the strongest thing a wall-clock-concurrent run
 // can promise: two runs of the same seed schedule differently, so the
@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,6 +280,35 @@ TEST(RtStreamStats, PendingCapShedsAndCounts) {
       << "an append was neither merged nor counted as dropped";
 }
 
+// -- Recorder stream contracts (every build type) ---------------------------
+
+// Before the throw, a release build relaunched the collector over the
+// running one's segments (std::terminate on the joinable thread).
+TEST(RtStreamContract, BeginStreamWhileRunningThrows) {
+  ekbd::rt::Recorder rec;
+  ekbd::rt::Recorder::StreamOptions opts;
+  opts.segments = 2;
+  rec.begin_stream(opts);
+  EXPECT_THROW(rec.begin_stream(opts), std::logic_error);
+  rec.end_stream();
+  rec.begin_stream(opts);  // a finished stream may be followed by another
+  rec.end_stream();
+}
+
+// Before the throw, a release build bound the thread anyway and its next
+// append indexed `segments_` past its end.
+TEST(RtStreamContract, BindSegmentRejectsNonWorkerIndex) {
+  ekbd::rt::Recorder rec;
+  EXPECT_THROW(rec.bind_segment(0), std::logic_error);  // no stream begun
+  ekbd::rt::Recorder::StreamOptions opts;
+  opts.segments = 2;
+  rec.begin_stream(opts);
+  EXPECT_NO_THROW(rec.bind_segment(1));
+  EXPECT_THROW(rec.bind_segment(2), std::logic_error);  // the external catch-all
+  EXPECT_THROW(rec.bind_segment(7), std::logic_error);
+  rec.end_stream();
+}
+
 // Capped EventLog under streaming: resident log memory is bounded, drops
 // are counted, and the books that stay exact (trace, network) still pass
 // the checkers. (Replay needs the full log, so it is out of scope here.)
@@ -318,17 +348,22 @@ TEST(RtStreamTelemetry, LiveSnapshotsAndCounterSamples) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   std::size_t lines = 0;
+  std::string last;
   char buf[4096];
   while (std::fgets(buf, sizeof(buf), f) != nullptr) {
     ++lines;
+    last = buf;
     EXPECT_EQ(buf[0], '{');
-    EXPECT_NE(std::string(buf).find("\"shards\""), std::string::npos);
-    EXPECT_NE(std::string(buf).find("\"latency\""), std::string::npos);
-    EXPECT_NE(std::string(buf).find("\"stream\""), std::string::npos);
+    EXPECT_NE(last.find("\"shards\""), std::string::npos);
+    EXPECT_NE(last.find("\"latency\""), std::string::npos);
+    EXPECT_NE(last.find("\"stream\""), std::string::npos);
   }
   std::fclose(f);
   std::remove(path.c_str());
   EXPECT_GE(lines, 4u);
+  // Only the final snapshot (after the join) reports the retained log.
+  EXPECT_NE(last.find("\"event_log\":{\"size\":"), std::string::npos);
+  EXPECT_NE(last.find("\"bytes\":"), std::string::npos);
 
   EXPECT_FALSE(s.counter_samples().empty());
   bool saw_latency = false, saw_shard = false;
@@ -344,6 +379,7 @@ TEST(RtStreamTelemetry, LiveSnapshotsAndCounterSamples) {
   EXPECT_NE(tj.find("\"latency\""), std::string::npos);
   EXPECT_NE(tj.find("\"p999\""), std::string::npos);
   EXPECT_NE(tj.find("\"stream\""), std::string::npos);
+  EXPECT_NE(tj.find("log.bytes"), std::string::npos);
 }
 
 // hungry→eat latency histogram: every completed hungry session of the run

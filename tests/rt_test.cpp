@@ -688,4 +688,15 @@ TEST(RtScenarioContract, RejectsScriptedDetector) {
   EXPECT_THROW(ekbd::scenario::RtScenario{cfg}, std::invalid_argument);
 }
 
+// Before the throw, a release build restarted the executor over the
+// books of the finished run.
+TEST(RtScenarioContract, RunsOnlyOnce) {
+  ekbd::scenario::Config cfg = contract_config();
+  cfg.rt_tick_ns = 100'000;
+  cfg.run_for = 200;  // 20 ms wall
+  ekbd::scenario::RtScenario s(cfg);
+  s.run();
+  EXPECT_THROW(s.run(), std::logic_error);
+}
+
 }  // namespace
